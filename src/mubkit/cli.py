@@ -29,7 +29,7 @@ from .complement import (
     verify_spread,
 )
 from .errors import GuardExceededError, InfeasibleError, MubkitError
-from .groups import classify_basis, group_from_generators
+from .groups import MUB_LABELS, classify_basis, group_from_generators
 from .hilbert import TOL, eigenbasis, eigenvalue_deviation, mub_check, qupit_purities
 from .pauli import parse_pauli
 from .stoich import count_solutions, enumerate_solutions, extremize, profile_table
@@ -88,6 +88,9 @@ def _parse_filter(text: str | None) -> dict[str, int] | None:
         name = name.strip()
         if not name or not value.strip().isdigit():
             raise ValueError(f"bad filter clause {part!r}, expected LABEL=COUNT")
+        if name not in MUB_LABELS:
+            raise ValueError(f"unknown filter label {name!r}, expected one of "
+                             + ", ".join(MUB_LABELS))
         out[name] = int(value)
     return out
 
@@ -102,13 +105,11 @@ def cmd_complement(args) -> int:
         comp = field_spread(params)
     else:
         filt = _parse_filter(args.filter)
-        if args.symmetry_breaking == "auto":
-            breaking = filt is None
-        else:
-            breaking = args.symmetry_breaking == "on"
+        if args.limit is not None and args.limit < 1:
+            raise ValueError(f"--limit must be at least 1, got {args.limit}")
         comp = None
         seen = 0
-        for cand in search_spreads(params, symmetry_breaking=breaking):
+        for cand in search_spreads(params):
             seen += 1
             if filt is not None:
                 counts = complement_distribution(cand).counts
@@ -451,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="search: maximum spreads to examine before giving up")
     sp.add_argument("--filter", default=None,
                     help="search: exact type counts, e.g. PI=0 or PI=1,SB=6")
-    sp.add_argument("--symmetry-breaking", choices=("auto", "on", "off"), default="auto",
-                    help="search pruning; auto = on unless a filter is given")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
     sp.set_defaults(func=cmd_complement)
 

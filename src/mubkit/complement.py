@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CensusViolationError, GuardExceededError, MubkitError
 from .groups import (CompatGroup, MubType, classify_basis,
                      qupit_factor_distribution)
+from .pauli import symplectic_form_vec
 from .zplinalg import ExtField, Mat, SystemParams, Vec, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
@@ -107,7 +108,7 @@ def verify_spread(c: Complement) -> SpreadReport:
             bad = (idx, "not in canonical rref form")
             break
         iso = all(
-            _form(rows[i], rows[j], n, p) == 0
+            symplectic_form_vec(rows[i], rows[j], p) == 0
             for i in range(n) for j in range(i + 1, n))
         if not iso:
             bad = (idx, "not isotropic")
@@ -138,10 +139,6 @@ def verify_spread(c: Complement) -> SpreadReport:
         "exact cover", collision is None and covered == universe,
         f"{covered} of {universe} nonzero vectors covered"))
     return SpreadReport(tuple(checks))
-
-
-def _form(a: Vec, b: Vec, n: int, p: int) -> int:
-    return sum(a[i] * b[n + i] - a[n + i] * b[i] for i in range(n)) % p
 
 
 # ---------------------------------------------------------------------------
@@ -277,103 +274,39 @@ def enumerate_lagrangians(params: SystemParams, guard: int = LAGRANGIAN_GUARD) -
 
 
 def search_spreads(params: SystemParams,
-                   limit: int | None = None,
-                   dist_filter: dict[str, int] | None = None,
-                   symmetry_breaking: bool = True,
                    guard: int = LAGRANGIAN_GUARD) -> Iterator[Complement]:
-    """Exact cover search over all Lagrangians, in canonical order.
+    """Every spread exactly once, by exact cover over all Lagrangians.
 
-    Either mode visits every spread exactly once. With symmetry_breaking the
-    classes of a spread are picked as an increasing chain of canonical
-    indices, so the lex-first spread comes out first; without it the search
-    branches on the least uncovered vector, which reaches varied
-    distributions sooner and suits filtered searches.
+    The classes of a spread are picked as an increasing chain of canonical
+    indices, so spreads come out in lex order and the lex-first spread comes
+    first. A node stops trying classes once the live ones left (those after
+    the current one that miss every covered vector) can no longer cover all
+    uncovered vectors; only branches that hold no spread are cut.
     """
-    p, n = params.p, params.n
     lagrangians = enumerate_lagrangians(params, guard)
-    members = [frozenset(k for k in CompatGroup(params, m).member_keys if k)
-               for m in lagrangians]
-    universe = p ** (2 * n) - 1
-    containing: dict[int, list[int]] = {}
-    for ci, keys in enumerate(members):
-        for k in keys:
-            containing.setdefault(k, []).append(ci)
-    need = p ** n + 1
-    covered: set[int] = set()
+    # one bit per nonzero vector key; bit 0, the zero vector, is left out
+    masks = [sum(1 << k for k in CompatGroup(params, m).member_keys if k)
+             for m in lagrangians]
+    full = (1 << params.p ** (2 * params.n)) - 2
     chosen: list[int] = []
-    emitted = 0
 
-    def matches(c: Complement) -> bool:
-        if not dist_filter:
-            return True
-        counts = complement_distribution(c).counts
-        return all(counts.get(k, 0) == v for k, v in dist_filter.items())
-
-    def emit() -> Iterator[Complement]:
-        nonlocal emitted
-        comp = _sorted_complement(params, [lagrangians[i] for i in chosen])
-        if matches(comp):
-            emitted += 1
-            yield comp
-
-    def least_uncovered(scan_from: int) -> int:
-        v = scan_from
-        while v <= universe and v in covered:
-            v += 1
-        return v
-
-    def dfs_vector(scan_from: int) -> Iterator[Complement]:
-        # each spread has a unique class covering the branching vector
-        if limit is not None and emitted >= limit:
+    def dfs(live: list[int], covered: int) -> Iterator[Complement]:
+        if covered == full:
+            yield _sorted_complement(params, [lagrangians[i] for i in chosen])
             return
-        if len(chosen) == need:
-            yield from emit()
-            return
-        v = least_uncovered(scan_from)
-        if v > universe:
-            return
-        for ci in containing.get(v, ()):
-            keys = members[ci]
-            if not covered.isdisjoint(keys):
-                continue
-            chosen.append(ci)
-            covered.update(keys)
-            yield from dfs_vector(v + 1)
-            covered.difference_update(keys)
-            chosen.pop()
-            if limit is not None and emitted >= limit:
+        reach = [0] * (len(live) + 1)  # reach[j] is the union of live[j:]
+        for j in range(len(live) - 1, -1, -1):
+            reach[j] = reach[j + 1] | masks[live[j]]
+        for j, ci in enumerate(live):
+            if covered | reach[j] != full:
                 return
-
-    def dfs_chain(start: int, scan_from: int) -> Iterator[Complement]:
-        # increasing-index chains; some later class must cover the least
-        # uncovered vector or the branch is dead
-        if limit is not None and emitted >= limit:
-            return
-        if len(chosen) == need:
-            yield from emit()
-            return
-        v = least_uncovered(scan_from)
-        if v > universe:
-            return
-        if not any(ci >= start and covered.isdisjoint(members[ci])
-                   for ci in containing.get(v, ())):
-            return
-        for ci in range(start, len(lagrangians)):
-            keys = members[ci]
-            if not covered.isdisjoint(keys):
-                continue
+            mask = masks[ci]
             chosen.append(ci)
-            covered.update(keys)
-            yield from dfs_chain(ci + 1, scan_from)
-            covered.difference_update(keys)
+            yield from dfs([c for c in live[j + 1:] if not masks[c] & mask],
+                           covered | mask)
             chosen.pop()
-            if limit is not None and emitted >= limit:
-                return
 
-    if symmetry_breaking:
-        yield from dfs_chain(0, 1)
-    else:
-        yield from dfs_vector(1)
+    yield from dfs(list(range(len(lagrangians))), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +338,10 @@ def from_json_dict(data: dict) -> Complement:
                 rows.append(tuple(x) + tuple(z))
             if len(rows) != params.n:
                 raise ValueError("wrong generator count")
-            matrices.append(tuple(rows))
+            # a full-rank class is stored in its canonical rref form; a
+            # rank-deficient one is kept as given for verify_spread to report
+            red, pivots = rref(rows, params.p)
+            matrices.append(red if len(pivots) == params.n else tuple(rows))
     except (KeyError, TypeError, ValueError) as exc:
         raise MubkitError(f"malformed complement data: {exc}") from exc
     return Complement(params, tuple(CompatGroup(params, m) for m in matrices))

@@ -68,11 +68,6 @@ def group_from_generators(params: SystemParams, gens: list[PauliOp] | tuple[Paul
     return CompatGroup(params, validate_generators(params, gens))
 
 
-def enumerate_group(group: CompatGroup) -> tuple[PauliOp, ...]:
-    """All p^n members as operators, identity first."""
-    return group.operators()
-
-
 def nbody_profile(group: CompatGroup) -> tuple[int, ...]:
     """Counts of members acting on exactly 1..n qupits; the identity is excluded."""
     n = group.params.n

@@ -284,11 +284,3 @@ class ExtField:
         if any(acc[1:]):
             raise ArithmeticError("trace left the prime field")
         return acc[0]
-
-
-def field_make(p: int, degree: int) -> ExtField:
-    return ExtField(p, degree)
-
-
-def field_trace(field: ExtField, a: Vec) -> int:
-    return field.trace(a)

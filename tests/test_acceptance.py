@@ -279,7 +279,7 @@ def test_criterion_09_realizability():
     with Timer() as t:
         found = None
         examined = 0
-        for cand in search_spreads(params, symmetry_breaking=False):
+        for cand in search_spreads(params):
             examined += 1
             if triple(cand) == (0, 9, 0):
                 found = cand

@@ -75,6 +75,25 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert "FAIL" in out and "FAILED" in out
 
 
+def test_verify_canonicalises_swapped_generators(capsys, tmp_path):
+    path = tmp_path / "c32.json"
+    run(capsys, "complement", "--p", "3", "--n", "2", "--out", str(path))
+    code, counts, _ = run(capsys, "classify", "--in", str(path), "--format", "csv")
+    assert code == 0
+    doc = json.loads(path.read_text())
+    gens = doc["classes"][3]["gens"]
+    gens.reverse()
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 0 and "OK  8/8 checks" in out
+    assert run(capsys, "classify", "--in", str(path), "--format", "csv") == (0, counts, "")
+    # a rank-deficient class is kept as given and still fails as such
+    gens[0] = gens[1]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 1 and "class 3: rank" in out
+
+
 def test_verify_bad_inputs(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -126,10 +145,15 @@ def test_complement_search_filter_unsatisfiable(capsys):
     assert "without matching" in err
 
 
-def test_complement_bad_filter_clause(capsys):
-    code, _, err = run(capsys, "complement", "--p", "2", "--n", "2",
-                       "--method", "search", "--filter", "PI=x")
-    assert code == 2 and "filter" in err
+@pytest.mark.parametrize("extra,word", [
+    (["--filter", "PI=x"], "filter"),
+    (["--filter", "pi=0"], "filter"),
+    (["--limit", "0"], "limit"),
+], ids=["bad-count", "unknown-label", "limit-0"])
+def test_complement_bad_filter_clause(capsys, extra, word):
+    code, out, err = run(capsys, "complement", "--p", "2", "--n", "2",
+                         "--method", "search", *extra)
+    assert code == 2 and out == "" and word in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -170,40 +171,88 @@ def test_enumerate_guard():
 # spread search
 
 
-def test_search_modes_agree_at_2_2():
-    params = SystemParams(2, 2)
-    chain = list(search_spreads(params, symmetry_breaking=True))
-    vector = list(search_spreads(params, symmetry_breaking=False))
-    assert len(chain) == len(vector) == 6
-    as_set = lambda comps: {tuple(c.matrix for c in comp.classes) for comp in comps}
-    assert as_set(chain) == as_set(vector)
-    for comp in chain:
+def chain_oracle(params):
+    """Reference exact cover: the earlier frozenset chain search. Classes are
+    picked as increasing chains of canonical indices, and a branch dies when
+    no later live class covers the least uncovered vector."""
+    p, n = params.p, params.n
+    lagrangians = enumerate_lagrangians(params)
+    members = [frozenset(k for k in CompatGroup(params, m).member_keys if k)
+               for m in lagrangians]
+    universe = p ** (2 * n) - 1
+    containing = {}
+    for ci, keys in enumerate(members):
+        for k in keys:
+            containing.setdefault(k, []).append(ci)
+    need = p ** n + 1
+    covered = set()
+    chosen = []
+
+    def dfs(start, scan_from):
+        if len(chosen) == need:
+            yield Complement(params, tuple(CompatGroup(params, lagrangians[i])
+                                           for i in chosen))
+            return
+        v = scan_from
+        while v <= universe and v in covered:
+            v += 1
+        if v > universe:
+            return
+        if not any(ci >= start and covered.isdisjoint(members[ci])
+                   for ci in containing.get(v, ())):
+            return
+        for ci in range(start, len(lagrangians)):
+            keys = members[ci]
+            if not covered.isdisjoint(keys):
+                continue
+            chosen.append(ci)
+            covered.update(keys)
+            yield from dfs(ci + 1, scan_from)
+            covered.difference_update(keys)
+            chosen.pop()
+
+    yield from dfs(0, 1)
+
+
+def _spread_key(comp):
+    return tuple(v for cls in comp.classes for row in cls.matrix for v in row)
+
+
+@pytest.mark.parametrize("p,n,take,total", [
+    (2, 2, None, 6), (2, 3, None, 960), (3, 2, None, 36), (3, 3, 1, 1), (7, 2, 1, 1),
+])
+def test_search_matches_chain_oracle(p, n, take, total):
+    params = SystemParams(p, n)
+    got = list(islice(search_spreads(params), take))
+    keys = [_spread_key(comp) for comp in got]
+    assert keys == [_spread_key(comp) for comp in islice(chain_oracle(params), take)]
+    assert len(keys) == total
+    # each spread once, in lex order, so the lex-first spread comes first
+    assert keys == sorted(set(keys))
+    for comp in got:
         assert verify_spread(comp).ok
-        assert complement_distribution(comp).counts == {"PI": 3, "B": 2}
-    # the chain mode emits the lexicographically smallest spread first
-    first_key = tuple(v for cls in chain[0].classes for row in cls.matrix for v in row)
-    keys = sorted(tuple(v for cls in comp.classes for row in cls.matrix for v in row)
-                  for comp in chain)
-    assert first_key == keys[0]
+        if n == 2:  # census: p + 1 product classes, the rest Bell bases
+            assert complement_distribution(comp).counts == {"PI": p + 1, "B": p * p - p}
 
 
 def test_search_limit():
     params = SystemParams(2, 2)
-    assert len(list(search_spreads(params, limit=1))) == 1
-    assert len(list(search_spreads(params, limit=4))) == 4
+    assert len(list(islice(search_spreads(params), 1))) == 1
+    assert len(list(islice(search_spreads(params), 4))) == 4
 
 
 def test_search_filter():
     params = SystemParams(2, 3)
-    hits = list(search_spreads(params, limit=1, symmetry_breaking=False,
-                               dist_filter={"PI": 0, "G3": 0}))
-    assert len(hits) == 1
-    comp = hits[0]
+
+    def first_with(**want):
+        return next(comp for comp in search_spreads(params)
+                    if all(complement_distribution(comp).counts.get(k, 0) == v
+                           for k, v in want.items()))
+
+    comp = first_with(PI=0, G3=0)
     assert verify_spread(comp).ok
     assert complement_distribution(comp).counts == {"SB": 9}
-    hits = list(search_spreads(params, limit=1, symmetry_breaking=False,
-                               dist_filter={"SB": 0}))
-    assert complement_distribution(hits[0]).counts == {"PI": 3, "G3": 6}
+    assert complement_distribution(first_with(SB=0)).counts == {"PI": 3, "G3": 6}
 
 
 def test_search_guard():
