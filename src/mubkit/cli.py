@@ -10,11 +10,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+from math import comb
 
 from .complement import (
     Complement,
@@ -40,17 +39,6 @@ _SAMPLE_BASES = 6
 
 def _err(msg) -> None:
     print(f"error: {msg}", file=sys.stderr)
-
-
-def _workers() -> int:
-    base = min(4, os.cpu_count() or 1)
-    env = os.environ.get("MUBKIT_THREADS")
-    if env:
-        try:
-            base = min(base, max(1, int(env)))
-        except ValueError:
-            pass
-    return base
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -91,6 +79,8 @@ def _parse_filter(text: str | None) -> dict[str, int] | None:
         if name not in MUB_LABELS:
             raise ValueError(f"unknown filter label {name!r}, expected one of "
                              + ", ".join(MUB_LABELS))
+        if name in out:
+            raise ValueError(f"repeated filter label {name!r}")
         out[name] = int(value)
     return out
 
@@ -102,6 +92,8 @@ def _parse_filter(text: str | None) -> dict[str, int] | None:
 def cmd_complement(args) -> int:
     params = SystemParams(args.p, args.n)
     if args.method == "field":
+        if args.filter is not None or args.limit is not None:
+            raise ValueError("--filter and --limit need --method search")
         comp = field_spread(params)
     else:
         filt = _parse_filter(args.filter)
@@ -146,22 +138,24 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
     sampled = d > max_dim
     tag = " (sampled)" if sampled else ""
     out = []
+    total = len(comp.classes)
     if sampled:
         rng = random.Random(0)
-        idx = sorted(rng.sample(range(len(comp.classes)),
-                                min(_SAMPLE_BASES, len(comp.classes))))
+        idx = sorted(rng.sample(range(total), min(_SAMPLE_BASES, total)))
+        scope = f" over {len(idx)} of {total} bases"
         bases = {}
         worst = 0.0
         fail = ""
         for i in idx:
             bases[i] = eigenbasis(comp.classes[i], check=False)
-            dev = eigenvalue_deviation(bases[i], sample=20)
+            dev = eigenvalue_deviation(bases[i])
             worst = max(worst, dev)
             if dev > TOL and not fail:
                 fail = f"basis {i} eigenvector deviation {dev:.3e}"
         out.append((f"hilbert-eigenvectors{tag}", not fail,
-                    fail or f"max deviation {worst:.3e} over {len(idx)} bases"))
+                    fail or f"max deviation {worst:.3e}{scope}"))
         pairs = list(combinations(idx, 2))
+        of_pairs = f"{len(pairs)} of {comb(total, 2)} pairs"
     else:
         bases = {}
         fail = ""
@@ -176,20 +170,12 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
         if fail:
             return out
         pairs = list(combinations(range(len(comp.classes)), 2))
+        scope = ""
+        of_pairs = f"{len(pairs)} pairs"
 
-    def overlap(pair):
-        a, b = pair
-        return mub_check(bases[a], bases[b])
-
-    workers = _workers()
-    if workers > 1 and len(pairs) > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            devs = list(pool.map(overlap, pairs))
-    else:
-        devs = [overlap(pr) for pr in pairs]
-    worst = max(devs, default=0.0)
+    worst = max((mub_check(bases[a], bases[b]) for a, b in pairs), default=0.0)
     out.append((f"hilbert-overlaps{tag}", worst <= TOL,
-                f"max | |<a|b>|^2 - 1/d | = {worst:.3e} over {len(pairs)} pairs"))
+                f"max | |<a|b>|^2 - 1/d | = {worst:.3e} over {of_pairs}"))
 
     worst = 0.0
     for basis in bases.values():
@@ -197,7 +183,7 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
         dev = float(abs(pur - pur.round()).max())
         worst = max(worst, dev)
     out.append((f"hilbert-purities{tag}", worst <= TOL,
-                f"max distance of any qupit purity from {{0,1}} = {worst:.3e}"))
+                f"max distance of any qupit purity from {{0,1}} = {worst:.3e}{scope}"))
     return out
 
 
@@ -458,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run all checks on a complement file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--hilbert-max-dim", type=int, default=81,
-                    help="full matrix checks up to this dimension, sampled above")
+                    help="prove every basis and pair up to this dimension, "
+                         "sample bases above")
     add_format(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -29,7 +29,8 @@ class TheoremViolationError(MubkitError):
 
 
 class ProjectorNotRankOneError(MubkitError):
-    """A spectral projector failed the trace-1 or idempotence check."""
+    """Computed eigenvectors fail the generator eigen-equations, so the
+    spectral projectors are not all rank one."""
 
 
 class SameGroupError(MubkitError):

@@ -147,7 +147,7 @@ def test_criterion_03_hilbert_verification():
                 gram = b.vectors.conj().T @ b.vectors
                 worst_orth = max(worst_orth,
                                  float(np.abs(gram - np.eye(d)).max()))
-                dev = eigenvalue_deviation(b, sample=12 if d > 27 else None)
+                dev = eigenvalue_deviation(b)
                 worst_eig = max(worst_eig, dev)
                 pur = qupit_purities(b.vectors, params)
                 worst_pure = max(worst_pure,

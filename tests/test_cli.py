@@ -49,6 +49,7 @@ def test_verify_sampled_above_max_dim(capsys, tmp_path):
                        "--hilbert-max-dim", "16")
     assert code == 0
     assert "hilbert-eigenvectors (sampled)" in out
+    assert "over 6 of 33 bases" in out and "over 15 of 528 pairs" in out
     assert "OK  8/8 checks" in out
 
 
@@ -149,7 +150,9 @@ def test_complement_search_filter_unsatisfiable(capsys):
     (["--filter", "PI=x"], "filter"),
     (["--filter", "pi=0"], "filter"),
     (["--limit", "0"], "limit"),
-], ids=["bad-count", "unknown-label", "limit-0"])
+    (["--filter", "PI=0", "--method", "field"], "--method search"),
+    (["--filter", "PI=0,PI=3"], "repeated"),
+], ids=["bad-count", "unknown-label", "limit-0", "field-filter", "repeated-label"])
 def test_complement_bad_filter_clause(capsys, extra, word):
     code, out, err = run(capsys, "complement", "--p", "2", "--n", "2",
                          "--method", "search", *extra)
@@ -331,16 +334,6 @@ def test_tables_csv_and_unknown(capsys):
 
 # ---------------------------------------------------------------------------
 # environment
-
-
-def test_thread_cap_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MUBKIT_THREADS", "1")
-    path = tmp_path / "c23.json"
-    run(capsys, "complement", "--p", "2", "--n", "3", "--out", str(path))
-    code, out, _ = run(capsys, "verify", "--in", str(path))
-    assert code == 0 and "OK  8/8 checks" in out
-    monkeypatch.setenv("MUBKIT_THREADS", "not-a-number")
-    assert run(capsys, "verify", "--in", str(path))[0] == 0
 
 
 def test_emit_to_unwritable_path(capsys, tmp_path):

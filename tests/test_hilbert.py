@@ -7,7 +7,12 @@ from mubkit.complement import field_spread
 from mubkit.errors import ProjectorNotRankOneError, SameGroupError
 from mubkit.groups import CompatGroup, group_from_generators, qupit_factor_distribution
 from mubkit.hilbert import (
+    _TIE,
     MubBasis,
+    _element_reps,
+    _extract_column,
+    _omega,
+    _space,
     eigenbasis,
     eigenvalue_deviation,
     mub_check,
@@ -111,22 +116,48 @@ def test_eigenbasis_diagonalizes_group(p, n):
         assert eigenvalue_deviation(basis) < TOL
 
 
-def test_eigenvalue_deviation_modes():
-    params = SystemParams(3, 2)
-    basis = eigenbasis(field_spread(params).classes[0])
-    full = eigenvalue_deviation(basis)
-    assert full < TOL
-    assert eigenvalue_deviation(basis, sample=5) < TOL
-    assert eigenvalue_deviation(basis, sample=[(0, 0), (8, 1)]) < TOL
-    assert eigenvalue_deviation(basis, sample=[]) == 0.0
+def projector_oracle(group):
+    """Eigenvectors from the full (d, d, d) stack of spectral projectors, each
+    checked for trace one and idempotence, column k read off P(k) at its
+    largest diagonal entry."""
+    params = group.params
+    p, d = params.p, params.dim
+    sp = _space(params)
+    reps, exps = _element_reps(group)
+    weights = _omega(p) ** (-((exps @ exps.T) % p)) / d
+    amps = np.stack([r.amp for r in reps])
+    proj = np.zeros((d, d, d), dtype=complex)  # proj[k] = P(k)
+    cols = np.arange(d)
+    by_shift = {}
+    for t, r in enumerate(reps):
+        by_shift.setdefault(r.shift, []).append(t)
+    for shift, idx in by_shift.items():
+        proj[:, sp.perm(shift), cols] = weights[:, idx] @ amps[idx]
+    traces = np.einsum("kss->k", proj)
+    if not np.allclose(traces, 1.0, atol=TOL):
+        raise ProjectorNotRankOneError("projector trace is not one")
+    if np.abs(np.matmul(proj, proj) - proj).max() > TOL:
+        raise ProjectorNotRankOneError("projector is not idempotent")
+    diag = np.einsum("kss->ks", proj).real
+    vectors = np.empty((d, d), dtype=complex)
+    for k in range(d):
+        s = int(np.argmax(diag[k] >= diag[k].max() - _TIE))
+        vectors[:, k] = _extract_column(proj[k, :, s])
+    return vectors
 
 
-def test_eigenbasis_light_path_matches_checked_path():
-    params = SystemParams(2, 3)
-    for cls in field_spread(params).classes:
-        a = eigenbasis(cls, check=True).vectors
-        b = eigenbasis(cls, check=False).vectors
-        assert np.allclose(a, b, atol=TOL)
+def test_eigenbasis_matches_projector_oracle():
+    for p, n in ((2, 3), (3, 2), (7, 2)):
+        for cls in field_spread(SystemParams(p, n)).classes:
+            basis = eigenbasis(cls, check=True)
+            assert np.allclose(basis.vectors, projector_oracle(cls), atol=TOL)
+            assert eigenvalue_deviation(basis) < TOL
+    # X I and Z I do not commute: both paths must refuse them
+    bad = CompatGroup(SystemParams(2, 2), ((1, 0, 0, 0), (0, 0, 1, 0)))
+    with pytest.raises(ProjectorNotRankOneError):
+        projector_oracle(bad)
+    with pytest.raises(ProjectorNotRankOneError):
+        eigenbasis(bad)
 
 
 def test_projector_check_rejects_noncommuting_matrix():
