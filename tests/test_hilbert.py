@@ -116,6 +116,29 @@ def test_eigenbasis_diagonalizes_group(p, n):
         assert eigenvalue_deviation(basis) < TOL
 
 
+def test_eigenvalue_deviation_modes():
+    # every (column, generator) pair is checked, both on a checked basis and
+    # on one built with check=False, as sampled verify reports it
+    params = SystemParams(3, 2)
+    cls = field_spread(params).classes[0]
+    basis = eigenbasis(cls)
+    full = eigenvalue_deviation(basis)
+    assert full < TOL
+    assert eigenvalue_deviation(eigenbasis(cls, check=False)) < TOL
+    # columns k = (0, 0) and (2, 2) swapped: each misses its eigenvalue tuple
+    swapped = basis.vectors.copy()
+    swapped[:, [0, 8]] = swapped[:, [8, 0]]
+    assert eigenvalue_deviation(MubBasis(cls, swapped)) > 0.5
+
+
+def test_eigenbasis_light_path_matches_checked_path():
+    params = SystemParams(2, 3)
+    for cls in field_spread(params).classes:
+        a = eigenbasis(cls, check=True).vectors
+        b = eigenbasis(cls, check=False).vectors
+        assert np.allclose(a, b, atol=TOL)
+
+
 def projector_oracle(group):
     """Eigenvectors from the full (d, d, d) stack of spectral projectors, each
     checked for trace one and idempotence, column k read off P(k) at its
