@@ -12,6 +12,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -101,10 +102,14 @@ def cmd_complement(args) -> int:
             raise ValueError(f"--limit must be at least 1, got {args.limit}")
         comp = None
         seen = 0
+        labels = {}  # class matrix -> label; spreads share their classes
         for cand in search_spreads(params):
             seen += 1
             if filt is not None:
-                counts = complement_distribution(cand).counts
+                for cls in cand.classes:
+                    if cls.matrix not in labels:
+                        labels[cls.matrix] = classify_basis(cls).label
+                counts = Counter(labels[cls.matrix] for cls in cand.classes)
                 if any(counts.get(k, 0) != v for k, v in filt.items()):
                     if args.limit is not None and seen >= args.limit:
                         break
@@ -270,7 +275,10 @@ def _parse_fixes(items) -> dict[str, int]:
         name, _, value = item.partition("=")
         if not name or not value.strip().lstrip("-").isdigit():
             raise ValueError(f"bad fix {item!r}, expected LABEL=COUNT")
-        out[name.strip()] = int(value)
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"repeated fix label {name!r}")
+        out[name] = int(value)
     return out
 
 

@@ -111,39 +111,27 @@ def qupit_factor_distribution(group: CompatGroup, qupit: int) -> FactorDistribut
         f"{sorted(set(int(t) for t in tally if t))}")
 
 
-def _support_dim(group: CompatGroup, subset: frozenset[int]) -> int:
-    """Dimension of the subgroup supported entirely inside the given qupits."""
-    p, n = group.params.p, group.params.n
-    outside = [i for i in range(n) if i not in subset]
-    cols = outside + [n + i for i in outside]
-    count = int(np.all(group.members[:, cols] == 0, axis=1).sum())
-    dim = 0
-    while count > 1:
-        count //= p
-        dim += 1
-    return dim
-
-
 def separation_pattern(group: CompatGroup) -> tuple[tuple[int, ...], ...]:
     """Finest partition of the qupits over which the group factorizes.
 
-    A subset S splits the group iff the members supported inside S and those
-    supported inside its complement together span all n dimensions.
+    A subset S splits the group iff the subgroups supported inside S and
+    inside its complement together have all p^n members. Each member's
+    support is a bitmask over the qupits; a subset-sum pass over the mask
+    counts gives inside[S], the order of the subgroup supported inside S.
     """
-    n = group.params.n
-    blocks = [frozenset(range(n))]
-    for mask in range(1, 1 << (n - 1)):
-        subset = frozenset(i for i in range(n) if (mask >> i) & 1)
-        rest = frozenset(range(n)) - subset
-        if _support_dim(group, subset) + _support_dim(group, rest) != n:
-            continue
-        refined = []
-        for b in blocks:
-            for part in (b & subset, b & rest):
-                if part:
-                    refined.append(part)
-        blocks = refined
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+    p, n = group.params.p, group.params.n
+    m = group.members
+    support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
+    inside = np.bincount(support, minlength=1 << n).reshape((2,) * n)
+    for axis in range(n):
+        inside = inside.cumsum(axis=axis)
+    inside = inside.ravel().tolist()
+    full = (1 << n) - 1
+    blocks = [full]
+    for subset in range(1, 1 << (n - 1)):
+        if inside[subset] * inside[full ^ subset] == p ** n:
+            blocks = [part for b in blocks for part in (b & subset, b & ~subset) if part]
+    return tuple(sorted(tuple(i for i in range(n) if b >> i & 1) for b in blocks))
 
 
 @dataclass(frozen=True)

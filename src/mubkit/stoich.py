@@ -175,10 +175,10 @@ def extremize(table: ProfileTable, label: str, direction: str = "min",
         raise ValueError(f"direction must be min or max, got {direction!r}")
     if label in forbid:
         raise ValueError(f"label {label!r} is forbidden")
+    if label not in table.labels:
+        raise ValueError(f"unknown label {label!r}, expected one of " + ", ".join(table.labels))
     best: dict[str, int] | None = None
     for sol in _iter_solutions(table, forbid, fixes):
-        if label not in sol:
-            raise ValueError(f"unknown label {label!r}")
         if best is None:
             best = sol
         elif direction == "min" and sol[label] < best[label]:

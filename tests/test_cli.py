@@ -7,6 +7,8 @@ import json
 import pytest
 
 from mubkit.cli import main
+from mubkit.complement import complement_distribution, dumps, search_spreads
+from mubkit.zplinalg import SystemParams
 
 
 def run(capsys, *argv):
@@ -146,6 +148,35 @@ def test_complement_search_filter_unsatisfiable(capsys):
     assert "without matching" in err
 
 
+def test_complement_search_filter_matches_per_spread_oracle(capsys):
+    # the oracle classifies every spread afresh, as the filter did before it
+    # looked each class's label up once per search
+    filters = {"PI=0": {"PI": 0}, "SB=0": {"SB": 0}, "PI=0,G3=0": {"PI": 0, "G3": 0},
+               "PI=1,SB=6": {"PI": 1, "SB": 6}}
+    want = {}
+    for cand in search_spreads(SystemParams(2, 3)):
+        counts = complement_distribution(cand).counts
+        for text, filt in filters.items():
+            if text not in want and all(counts.get(k, 0) == v for k, v in filt.items()):
+                want[text] = dumps(cand)
+        if len(want) == len(filters):
+            break
+    for text in filters:
+        code, out, err = run(capsys, "complement", "--p", "2", "--n", "3",
+                             "--method", "search", "--filter", text)
+        assert (code, out, err) == (0, want[text], "")
+
+
+@pytest.mark.parametrize("argv,examined", [
+    (["--p", "2", "--n", "3", "--filter", "PI=1,SB=7"], 960),
+    (["--p", "3", "--n", "3", "--limit", "50", "--filter", "PI=0"], 50),
+], ids=["exhausted", "limit"])
+def test_complement_search_filter_counts_every_spread(capsys, argv, examined):
+    code, out, err = run(capsys, "complement", "--method", "search", *argv)
+    assert code == 4 and out == ""
+    assert f"({examined} spreads examined)" in err
+
+
 @pytest.mark.parametrize("extra,word", [
     (["--filter", "PI=x"], "filter"),
     (["--filter", "pi=0"], "filter"),
@@ -252,6 +283,17 @@ def test_stoich_infeasible_exit(capsys):
     code, _, err = run(capsys, "stoich", "--p", "5", "--n", "4",
                        "--forbid", "P4", "--minimize", "C4")
     assert code == 5 and "error:" in err
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["--p", "3", "--n", "3", "--fix", "PI=1", "--fix", "PI=4", "--count-only"],
+     "repeated fix label"),
+    (["--p", "3", "--n", "3", "--minimize", "XYZ", "--fix", "PI=100"], "unknown label"),
+    (["--p", "2", "--n", "4", "--minimize", "P4", "--fix", "PI=99"], "unknown label"),
+], ids=["repeated-fix", "unknown-objective", "p4-at-p2"])
+def test_stoich_rejects_labels_before_solving(capsys, argv, word):
+    code, out, err = run(capsys, "stoich", *argv)
+    assert code == 2 and out == "" and word in err
 
 
 def test_stoich_argument_errors(capsys):

@@ -6,9 +6,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from mubkit.complement import enumerate_lagrangians, field_spread
 from mubkit.errors import DependentGeneratorsError, NonCommutingError
 from mubkit.groups import (
     MUB_LABELS,
+    CompatGroup,
     classify_basis,
     group_from_generators,
     nbody_profile,
@@ -232,6 +234,56 @@ def test_separation_spec_examples():
     assert separation_pattern(g) == ((0, 1, 2, 3),)
     g = group_from_generators(params, _letters(params, "XXII", "ZZII", "IIXX", "IIZZ"))
     assert separation_pattern(g) == ((0, 1), (2, 3))
+
+
+def _support_dim(group, subset):
+    """Dimension of the subgroup supported entirely inside the given qupits."""
+    p, n = group.params.p, group.params.n
+    outside = [i for i in range(n) if i not in subset]
+    cols = outside + [n + i for i in outside]
+    count = int(np.all(group.members[:, cols] == 0, axis=1).sum())
+    dim = 0
+    while count > 1:
+        count //= p
+        dim += 1
+    return dim
+
+
+def separation_oracle(group):
+    """The per-bipartition member scan that separation_pattern replaced."""
+    n = group.params.n
+    blocks = [frozenset(range(n))]
+    for mask in range(1, 1 << (n - 1)):
+        subset = frozenset(i for i in range(n) if (mask >> i) & 1)
+        rest = frozenset(range(n)) - subset
+        if _support_dim(group, subset) + _support_dim(group, rest) != n:
+            continue
+        refined = []
+        for b in blocks:
+            for part in (b & subset, b & rest):
+                if part:
+                    refined.append(part)
+        blocks = refined
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3), (7, 2)])
+def test_separation_matches_oracle_on_every_lagrangian(p, n):
+    params = SystemParams(p, n)
+    patterns = set()
+    for m in enumerate_lagrangians(params):
+        g = CompatGroup(params, m)
+        pattern = separation_pattern(g)
+        assert pattern == separation_oracle(g), m
+        patterns.add(pattern)
+    # every set partition of the qupits occurs, so each split test was exercised
+    assert len(patterns) == {2: 2, 3: 5, 4: 15}[n]
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
+def test_separation_matches_oracle_on_field_spreads(p, n):
+    for g in field_spread(SystemParams(p, n)).classes:
+        assert separation_pattern(g) == separation_oracle(g), g.matrix
 
 
 def test_bb_and_g4_share_a_profile_but_not_a_label():

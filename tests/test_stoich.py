@@ -285,6 +285,11 @@ def test_extremize_errors():
         extremize(_table(3, 4), "P4", "min", forbid=("P4",))
     with pytest.raises(ValueError):
         extremize(_table(2, 4), "XYZ", "min")
+    # a bad objective is reported even when the constraints are infeasible
+    with pytest.raises(ValueError, match="unknown label"):
+        extremize(_table(3, 3), "XYZ", "min", fixes={"PI": 100})
+    with pytest.raises(ValueError, match="unknown label"):
+        extremize(_table(2, 4), "P4", "min", fixes={"PI": 99})
 
 
 # ---------------------------------------------------------------------------
