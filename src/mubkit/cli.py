@@ -17,6 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .complement import (
+    PROOF_MEMORY_GUARD,
     Complement,
     complement_distribution,
     distribution_json_dict,
@@ -162,6 +163,12 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
         pairs = list(combinations(idx, 2))
         of_pairs = f"{len(pairs)} of {comb(total, 2)} pairs"
     else:
+        need = total * d * d * 16
+        if need > PROOF_MEMORY_GUARD:
+            raise GuardExceededError(
+                f"a full Hilbert proof of {total} bases at d = {d} holds {need} bytes "
+                f"of eigenvectors, over the guard {PROOF_MEMORY_GUARD}; lower "
+                f"--hilbert-max-dim below {d} to sample bases")
         bases = {}
         fail = ""
         for i, cls in enumerate(comp.classes):
@@ -193,6 +200,8 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
 
 
 def cmd_verify(args) -> int:
+    if args.hilbert_max_dim < 1:
+        raise ValueError(f"--hilbert-max-dim must be at least 1, got {args.hilbert_max_dim}")
     with open(args.infile, "r", encoding="utf-8") as fh:
         comp = from_json_dict(json.load(fh))
     checks = [(c.name, c.passed, c.detail) for c in verify_spread(comp).checks]

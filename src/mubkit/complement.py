@@ -24,6 +24,11 @@ from .zplinalg import ExtField, Mat, SystemParams, Vec, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
 LAGRANGIAN_GUARD = 100_000
+# search_spreads visits about 100k nodes per second on a 2-vCPU box; a
+# first hit at (2,4) takes 332, the whole (2,3) sweep 6520
+SEARCH_NODE_GUARD = 10_000_000
+# bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
+PROOF_MEMORY_GUARD = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,8 @@ def search_spreads(params: SystemParams,
     indices, so spreads come out in lex order and the lex-first spread comes
     first. A node stops trying classes once the live ones left (those after
     the current one that miss every covered vector) can no longer cover all
-    uncovered vectors; only branches that hold no spread are cut.
+    uncovered vectors; only branches that hold no spread are cut. Past
+    SEARCH_NODE_GUARD search nodes, GuardExceededError is raised.
     """
     lagrangians = enumerate_lagrangians(params, guard)
     # one bit per nonzero vector key; bit 0, the zero vector, is left out
@@ -289,8 +295,14 @@ def search_spreads(params: SystemParams,
              for m in lagrangians]
     full = (1 << params.p ** (2 * params.n)) - 2
     chosen: list[int] = []
+    nodes = 0
 
     def dfs(live: list[int], covered: int) -> Iterator[Complement]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_GUARD:
+            raise GuardExceededError(
+                f"spread search passed the node guard {SEARCH_NODE_GUARD}")
         if covered == full:
             yield _sorted_complement(params, [lagrangians[i] for i in chosen])
             return

@@ -1,11 +1,13 @@
 """Hilbert space realization of Pauli eigenbases.
 
 Operators are generalized permutation matrices, so group elements are carried
-exactly as (shift, amplitude vector) pairs and no dense operator or projector
-is formed: an eigenbasis is read off projector columns and proved by the
-generator eigen-equations, in O(d^2) memory. For p = 2 each site factor
-X^x Z^z carries the phase i^(x z), which makes every group element square to
-the identity; for odd p the plain products already have order p.
+exactly as (permutation, amplitude vector) pairs and no dense operator or
+projector is formed. An eigenbasis is built with whole-array numpy steps: the
+amplitudes of all p^n group elements come from folding in one generator at a
+time, and every projector column from one gather and one scatter. The basis is
+proved by the generator eigen-equations. Memory stays O(d^2). For p = 2 each
+site factor X^x Z^z carries the phase i^(x z), which makes every group element
+square to the identity; for odd p the plain products already have order p.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import ProjectorNotRankOneError, SameGroupError
 from .groups import CompatGroup
-from .pauli import PauliOp, from_vector
+from .pauli import PauliOp
 from .zplinalg import SystemParams
 
 TOL = 1e-9
@@ -54,14 +56,6 @@ def operator_matrix(op: PauliOp, params: SystemParams, phased: bool = True) -> n
     return out
 
 
-@dataclass
-class _Rep:
-    """O|k> = amp[k] |k + shift>, addition digit-wise mod p."""
-
-    shift: tuple[int, ...]
-    amp: np.ndarray
-
-
 class _Space:
     """Cached index bookkeeping for one (p, n)."""
 
@@ -69,33 +63,26 @@ class _Space:
         self.params = params
         self.digits = _digits(params)
         self.powers = _index_powers(params)
-        self._perms: dict[tuple[int, ...], np.ndarray] = {}
+        self.roots = _omega(params.p) ** np.arange(params.p)  # omega^j, j < p
+        self._perms: dict[int, np.ndarray] = {}
 
-    def perm(self, shift: tuple[int, ...]) -> np.ndarray:
-        """state index -> index of state + shift."""
+    def perm(self, shift: int) -> np.ndarray:
+        """state index -> index of that state plus state `shift`, digit-wise mod p."""
         got = self._perms.get(shift)
         if got is None:
-            got = ((self.digits + np.array(shift)) % self.params.p) @ self.powers
+            got = ((self.digits + self.digits[shift]) % self.params.p) @ self.powers
             self._perms[shift] = got
         return got
 
-    def rep(self, op: PauliOp, phased: bool = True) -> _Rep:
-        p = self.params.p
-        w = _omega(p)
-        amp = w ** (self.digits @ np.array(op.z, dtype=np.int64))
-        if phased and p == 2:
-            amp = amp * 1j ** int(sum(a * b for a, b in zip(op.x, op.z)))
-        return _Rep(tuple(op.x), np.asarray(amp, dtype=complex))
-
-    def identity_rep(self) -> _Rep:
-        return _Rep((0,) * self.params.n, np.ones(self.params.dim, dtype=complex))
-
-    def matmul(self, a: _Rep, b: _Rep) -> _Rep:
-        """The rep of the matrix product a @ b."""
-        p = self.params.p
-        pb = self.perm(b.shift)
-        shift = tuple((u + v) % p for u, v in zip(a.shift, b.shift))
-        return _Rep(shift, b.amp * a.amp[pb])
+    def generator(self, row) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, amp) of the operator with exponent row (x | z), phased for
+        p = 2: it sends |k> to amp[k] |perm[k]>."""
+        p, n = self.params.p, self.params.n
+        x, z = row[:n], row[n:]
+        amp = self.roots[(self.digits @ np.array(z, dtype=np.int64)) % p]
+        if p == 2:
+            amp = amp * 1j ** int(sum(a * b for a, b in zip(x, z)))
+        return self.perm(int(np.dot(x, self.powers))), amp
 
 
 _SPACES: dict[tuple[int, int], _Space] = {}
@@ -108,31 +95,6 @@ def _space(params: SystemParams) -> _Space:
     return _SPACES[key]
 
 
-def _element_reps(group: CompatGroup) -> tuple[list[_Rep], np.ndarray]:
-    """Reps of all p^n group elements, ordered like CompatGroup.members,
-    together with the exponent tuples."""
-    params = group.params
-    p, n = params.p, params.n
-    sp = _space(params)
-    gens = [from_vector(row) for row in group.matrix]
-    powers: list[list[_Rep]] = []
-    for g in gens:
-        row = [sp.identity_rep()]
-        base = sp.rep(g)
-        for _ in range(p - 1):
-            row.append(sp.matmul(row[-1], base))
-        powers.append(row)
-    exps = np.array(list(product(range(p), repeat=n)), dtype=np.int64)
-    reps: list[_Rep] = []
-    for e in exps:
-        cur = powers[0][e[0]]
-        for i in range(1, n):
-            if e[i]:
-                cur = sp.matmul(cur, powers[i][e[i]])
-        reps.append(cur)
-    return reps, exps
-
-
 @dataclass
 class MubBasis:
     """Eigenbasis of a compatibility group; column k is the joint eigenvector
@@ -142,20 +104,19 @@ class MubBasis:
     vectors: np.ndarray
 
 
-def _extract_column(col: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(col)
-    if norm < 1e-6:
-        raise ProjectorNotRankOneError("projector column is numerically zero")
-    v = col / norm
-    mags = np.abs(v)
-    j = int(np.argmax(mags >= mags.max() - _TIE))
-    ph = v[j] / abs(v[j])
-    return v * ph.conjugate()
-
-
 def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     """All p^n joint eigenvectors, column k read off the spectral projector
-    P(k) = p^-n sum_n omega^(-n.k) G^n at its largest diagonal entry.
+    P(k) = p^-n sum_t omega^(-e_t.k) G_t at its largest diagonal entry s_k
+    (the first within _TIE of the largest), then normalised and phased so
+    that its first entry within _TIE of the largest magnitude is real.
+
+    Whole-array construction: the amplitudes of all elements
+    G_t = G_0^e_0 ... G_(n-1)^e_(n-1), e lexicographic as in
+    CompatGroup.members, are folded in one generator at a time (n (p - 1)
+    gathers). Elements that share a shift form a coset of the zero-shift
+    subgroup and land on the same row of P(k) e_s, so each column is the sum
+    over cosets of weighted amplitudes, written with one scatter. No array
+    larger than d x d is formed, so memory stays O(d^2).
 
     With check set, every column is tested against all n generator
     eigen-equations G_i v_k = omega^(k_i) v_k, and ProjectorNotRankOneError is
@@ -163,26 +124,44 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     generators are unitary, and the d eigenvalue tuples omega^k are distinct,
     so columns with different tuples are orthogonal and V is unitary; each
     joint eigenspace then holds exactly one column, so every P(k) = v_k v_k^H
-    has rank one. Memory stays O(d^2).
+    has rank one. A numerically zero column raises as well.
     """
     params = group.params
-    p, d = params.p, params.dim
+    p, n, d = params.p, params.n, params.dim
     sp = _space(params)
-    reps, exps = _element_reps(group)
-    w = _omega(p)
-    phase_exp = (exps @ exps.T) % p
-    weights = w ** (-phase_exp) / d  # weights[k, t] for element t in projector k
-    amps = np.stack([r.amp for r in reps])
-    shifts = np.stack([sp.perm(r.shift) for r in reps])  # (t, d)
-    zero_shift = [t for t, r in enumerate(reps) if not any(r.shift)]
-    diag = (weights[:, zero_shift] @ amps[zero_shift]).real  # (k, s)
-    vectors = np.empty((d, d), dtype=complex)
-    for k in range(d):
-        s = int(np.argmax(diag[k] >= diag[k].max() - _TIE))
-        col = np.zeros(d, dtype=complex)
-        np.add.at(col, shifts[:, s], weights[k] * amps[:, s])
-        vectors[:, k] = _extract_column(col)
-    basis = MubBasis(group, vectors)
+    amp = np.ones((1, d), dtype=complex)  # G_t |s> = amp[t, s] |s + shift_t>
+    for row in group.matrix:
+        perm, g = sp.generator(row)
+        amp = np.repeat(amp[:, None], p, axis=1)  # element t * p + j is G_t G^j
+        for j in range(1, p):
+            np.multiply(amp[:, j - 1, perm], g, out=amp[:, j])
+        amp = amp.reshape(-1, d)
+    shift = group.members[:, :n] @ sp.powers
+    order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
+    c = int(np.count_nonzero(shift == 0))
+    ph = sp.digits @ sp.digits[order].T
+    ph %= p
+    w = (sp.roots.conj() / d)[ph]  # w[k, u] = omega^(-e_k.e_t) / d, t = order[u]
+    del ph
+    diag = (w[:, :c] @ amp[order[:c]]).real  # diag[k, s] = P(k)[s, s]
+    s = np.argmax(diag >= diag.max(axis=1, keepdims=True) - _TIE, axis=1)
+    del diag
+    w *= amp[order[:, None], s].T  # term t of P(k) e_(s_k)
+    del amp
+    sums = w.reshape(d, d // c, c).sum(axis=2)  # one entry per coset
+    del w
+    rows = np.stack([sp.perm(t) for t in shift[order[::c]].tolist()])
+    k = np.arange(d)
+    vecs = np.zeros((d, d), dtype=complex)
+    vecs[rows[:, s], k] = sums.T
+    norm = np.linalg.norm(vecs, axis=0)
+    if norm.min() < 1e-6:
+        raise ProjectorNotRankOneError("projector column is numerically zero")
+    vecs /= norm
+    mags = np.abs(vecs)
+    j = np.argmax(mags >= mags.max(axis=0) - _TIE, axis=0)
+    vecs *= (vecs[j, k] / mags[j, k]).conj()
+    basis = MubBasis(group, vecs)
     if check:
         dev = eigenvalue_deviation(basis)
         if dev > TOL:
@@ -194,16 +173,14 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
 def eigenvalue_deviation(basis: MubBasis) -> float:
     """Max deviation of (phased) G_i v_k from omega^(k_i) v_k over all
     (column, generator) pairs; each generator acts on the whole basis at once."""
-    params = basis.group.params
-    sp = _space(params)
-    w = _omega(params.p)
-    scale = np.array([w ** k for k in range(params.p)])[sp.digits]  # (k, i): omega^(k_i)
+    sp = _space(basis.group.params)
+    scale = sp.roots[sp.digits]  # (k, i): omega^(k_i)
     v = basis.vectors
     worst = 0.0
     for i, row in enumerate(basis.group.matrix):
-        g = sp.rep(from_vector(row))
+        perm, amp = sp.generator(row)
         gv = np.empty_like(v)
-        gv[sp.perm(g.shift)] = g.amp[:, None] * v
+        gv[perm] = amp[:, None] * v
         worst = max(worst, float(np.abs(gv - v * scale[:, i]).max()))
     return worst
 

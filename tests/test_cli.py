@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+import mubkit.cli
+import mubkit.complement
 from mubkit.cli import main
-from mubkit.complement import complement_distribution, dumps, search_spreads
+from mubkit.complement import (PROOF_MEMORY_GUARD, complement_distribution, dumps,
+                               search_spreads)
 from mubkit.zplinalg import SystemParams
 
 
@@ -107,6 +110,43 @@ def test_verify_bad_inputs(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert run(capsys, "verify", "--in", str(empty))[0] == 2
+
+
+@pytest.mark.parametrize("max_dim", ["0", "-5"])
+def test_verify_rejects_max_dim_below_one(capsys, tmp_path, max_dim):
+    path = tmp_path / "c22.json"
+    run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
+    code, out, err = run(capsys, "verify", "--in", str(path), "--hilbert-max-dim", max_dim)
+    assert code == 2 and out == ""
+    assert f"--hilbert-max-dim must be at least 1, got {max_dim}" in err
+
+
+def test_verify_full_proof_memory_guard(capsys, tmp_path, monkeypatch):
+    # the default guard admits every full proof up to d = 343, not d = 625
+    assert 344 * 343 ** 2 * 16 <= PROOF_MEMORY_GUARD < 626 * 625 ** 2 * 16
+    path = tmp_path / "c22.json"
+    run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
+    # 5 bases of 4 x 4 complex entries hold 1280 bytes
+    monkeypatch.setattr(mubkit.cli, "PROOF_MEMORY_GUARD", 1279)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 3 and out == ""
+    assert "5 bases at d = 4 holds 1280 bytes" in err and "--hilbert-max-dim" in err
+    # sampled proofs hold only their 6 bases and are not guarded
+    code, out, _ = run(capsys, "verify", "--in", str(path), "--hilbert-max-dim", "2")
+    assert code == 0 and "over 5 of 5 bases" in out
+    monkeypatch.setattr(mubkit.cli, "PROOF_MEMORY_GUARD", 1280)
+    assert run(capsys, "verify", "--in", str(path))[0] == 0
+
+
+def test_complement_search_node_guard(capsys, monkeypatch):
+    # the first spread at (2,4) is reached at search node 332
+    monkeypatch.setattr(mubkit.complement, "SEARCH_NODE_GUARD", 331)
+    code, out, err = run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")
+    assert code == 3 and out == ""
+    assert "spread search passed the node guard 331" in err
+    monkeypatch.setattr(mubkit.complement, "SEARCH_NODE_GUARD", 332)
+    code, out, _ = run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")
+    assert code == 0 and json.loads(out)["n"] == 4
 
 
 def test_complement_rejects_bad_params(capsys):

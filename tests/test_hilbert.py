@@ -1,18 +1,18 @@
 """Dense realization: matrices, projectors, eigenbases, purities."""
 
+from dataclasses import dataclass
+from itertools import product
+
 import numpy as np
 import pytest
 
-from mubkit.complement import field_spread
+from mubkit.complement import enumerate_lagrangians, field_spread
 from mubkit.errors import ProjectorNotRankOneError, SameGroupError
 from mubkit.groups import CompatGroup, group_from_generators, qupit_factor_distribution
 from mubkit.hilbert import (
     _TIE,
     MubBasis,
-    _element_reps,
-    _extract_column,
     _omega,
-    _space,
     eigenbasis,
     eigenvalue_deviation,
     mub_check,
@@ -139,13 +139,63 @@ def test_eigenbasis_light_path_matches_checked_path():
         assert np.allclose(a, b, atol=TOL)
 
 
+@dataclass
+class _Rep:
+    """O|k> = amp[k] |perm[k]>, read off the dense operator matrix."""
+
+    perm: np.ndarray
+    amp: np.ndarray
+
+
+def identity_rep(d):
+    return _Rep(np.arange(d), np.ones(d, dtype=complex))
+
+
+def matmul(a, b):
+    """The rep of the matrix product a @ b."""
+    return _Rep(a.perm[b.perm], b.amp * a.amp[b.perm])
+
+
+def _element_reps(group):
+    """Reps of all p^n group elements, ordered like CompatGroup.members,
+    together with the exponent tuples; one matrix product at a time."""
+    params = group.params
+    p, n = params.p, params.n
+    powers = []
+    for row in group.matrix:
+        base = _Rep(*_perm_amp(operator_matrix(from_vector(row), params)))
+        reps = [identity_rep(params.dim)]
+        for _ in range(p - 1):
+            reps.append(matmul(reps[-1], base))
+        powers.append(reps)
+    exps = np.array(list(product(range(p), repeat=n)), dtype=np.int64)
+    reps = []
+    for e in exps:
+        cur = powers[0][e[0]]
+        for i in range(1, n):
+            if e[i]:
+                cur = matmul(cur, powers[i][e[i]])
+        reps.append(cur)
+    return reps, exps
+
+
+def _extract_column(col):
+    norm = np.linalg.norm(col)
+    if norm < 1e-6:
+        raise ProjectorNotRankOneError("projector column is numerically zero")
+    v = col / norm
+    mags = np.abs(v)
+    j = int(np.argmax(mags >= mags.max() - _TIE))
+    ph = v[j] / abs(v[j])
+    return v * ph.conjugate()
+
+
 def projector_oracle(group):
     """Eigenvectors from the full (d, d, d) stack of spectral projectors, each
     checked for trace one and idempotence, column k read off P(k) at its
     largest diagonal entry."""
     params = group.params
     p, d = params.p, params.dim
-    sp = _space(params)
     reps, exps = _element_reps(group)
     weights = _omega(p) ** (-((exps @ exps.T) % p)) / d
     amps = np.stack([r.amp for r in reps])
@@ -153,9 +203,9 @@ def projector_oracle(group):
     cols = np.arange(d)
     by_shift = {}
     for t, r in enumerate(reps):
-        by_shift.setdefault(r.shift, []).append(t)
-    for shift, idx in by_shift.items():
-        proj[:, sp.perm(shift), cols] = weights[:, idx] @ amps[idx]
+        by_shift.setdefault(r.perm.tobytes(), (r.perm, []))[1].append(t)
+    for perm, idx in by_shift.values():
+        proj[:, perm, cols] = weights[:, idx] @ amps[idx]
     traces = np.einsum("kss->k", proj)
     if not np.allclose(traces, 1.0, atol=TOL):
         raise ProjectorNotRankOneError("projector trace is not one")
@@ -169,18 +219,68 @@ def projector_oracle(group):
     return vectors
 
 
+def column_loop_oracle(group):
+    """Eigenvectors built one column at a time: column k of P(k) at its
+    largest diagonal entry, accumulated element by element with np.add.at."""
+    params = group.params
+    p, d = params.p, params.dim
+    reps, exps = _element_reps(group)
+    weights = _omega(p) ** (-((exps @ exps.T) % p)) / d
+    amps = np.stack([r.amp for r in reps])
+    rows = np.stack([r.perm for r in reps])  # (t, d)
+    zero_shift = [t for t, r in enumerate(reps) if (r.perm == np.arange(d)).all()]
+    diag = (weights[:, zero_shift] @ amps[zero_shift]).real  # (k, s)
+    vectors = np.empty((d, d), dtype=complex)
+    for k in range(d):
+        s = int(np.argmax(diag[k] >= diag[k].max() - _TIE))
+        col = np.zeros(d, dtype=complex)
+        np.add.at(col, rows[:, s], weights[k] * amps[:, s])
+        vectors[:, k] = _extract_column(col)
+    return vectors
+
+
+# X I and Z I do not commute
+_NONCOMMUTING = CompatGroup(SystemParams(2, 2), ((1, 0, 0, 0), (0, 0, 1, 0)))
+
+
 def test_eigenbasis_matches_projector_oracle():
     for p, n in ((2, 3), (3, 2), (7, 2)):
         for cls in field_spread(SystemParams(p, n)).classes:
             basis = eigenbasis(cls, check=True)
             assert np.allclose(basis.vectors, projector_oracle(cls), atol=TOL)
             assert eigenvalue_deviation(basis) < TOL
-    # X I and Z I do not commute: both paths must refuse them
-    bad = CompatGroup(SystemParams(2, 2), ((1, 0, 0, 0), (0, 0, 1, 0)))
+    # both paths must refuse a non-commuting pair
     with pytest.raises(ProjectorNotRankOneError):
-        projector_oracle(bad)
+        projector_oracle(_NONCOMMUTING)
     with pytest.raises(ProjectorNotRankOneError):
-        eigenbasis(bad)
+        eigenbasis(_NONCOMMUTING)
+
+
+def _oracle_groups():
+    for p, n in ((2, 3), (3, 2)):
+        params = SystemParams(p, n)
+        for m in enumerate_lagrangians(params):
+            yield CompatGroup(params, m)
+    for p, n in ((2, 4), (3, 3), (5, 2)):
+        yield from field_spread(SystemParams(p, n)).classes
+
+
+def test_eigenbasis_matches_column_loop_oracle():
+    # a column that vanishes at row 0 must be read off another diagonal row;
+    # sparse supports make the row differ from column to column
+    off_row_0 = 0
+    for cls in _oracle_groups():
+        want = column_loop_oracle(cls)
+        got = eigenbasis(cls, check=True).vectors
+        assert np.abs(got - want).max() < 1e-12
+        off_row_0 += int(np.count_nonzero(np.abs(want[0]) < TOL))
+    assert off_row_0 > 0
+    # the loop builds columns for a non-commuting pair too; they miss the
+    # eigen-equations, so the checked path refuses them
+    bad = column_loop_oracle(_NONCOMMUTING)
+    assert eigenvalue_deviation(MubBasis(_NONCOMMUTING, bad)) > TOL
+    with pytest.raises(ProjectorNotRankOneError):
+        eigenbasis(_NONCOMMUTING)
 
 
 def test_projector_check_rejects_noncommuting_matrix():
