@@ -13,11 +13,13 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import asdict
 from itertools import combinations
 from math import comb
 
 from .complement import (
     PROOF_MEMORY_GUARD,
+    CheckResult,
     Complement,
     complement_distribution,
     distribution_json_dict,
@@ -129,16 +131,7 @@ def cmd_complement(args) -> int:
 # verify
 
 
-def _check_lines(checks) -> tuple[list[dict], bool]:
-    rows = []
-    ok = True
-    for name, passed, detail in checks:
-        rows.append({"name": name, "passed": passed, "detail": detail})
-        ok = ok and passed
-    return rows, ok
-
-
-def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str]]:
+def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
     params = comp.params
     d = params.dim
     sampled = d > max_dim
@@ -158,8 +151,8 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
             worst = max(worst, dev)
             if dev > TOL and not fail:
                 fail = f"basis {i} eigenvector deviation {dev:.3e}"
-        out.append((f"hilbert-eigenvectors{tag}", not fail,
-                    fail or f"max deviation {worst:.3e}{scope}"))
+        out.append(CheckResult(f"hilbert-eigenvectors{tag}", not fail,
+                               fail or f"max deviation {worst:.3e}{scope}"))
         pairs = list(combinations(idx, 2))
         of_pairs = f"{len(pairs)} of {comb(total, 2)} pairs"
     else:
@@ -177,8 +170,8 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
             except MubkitError as exc:
                 fail = f"basis {i}: {exc}"
                 break
-        out.append((f"hilbert-projectors{tag}", not fail,
-                    fail or f"all {len(comp.classes)} bases rank-one and idempotent"))
+        out.append(CheckResult(f"hilbert-projectors{tag}", not fail,
+                               fail or f"all {len(comp.classes)} bases rank-one and idempotent"))
         if fail:
             return out
         pairs = list(combinations(range(len(comp.classes)), 2))
@@ -186,16 +179,16 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[tuple[str, bool, str
         of_pairs = f"{len(pairs)} pairs"
 
     worst = max((mub_check(bases[a], bases[b]) for a, b in pairs), default=0.0)
-    out.append((f"hilbert-overlaps{tag}", worst <= TOL,
-                f"max | |<a|b>|^2 - 1/d | = {worst:.3e} over {of_pairs}"))
+    out.append(CheckResult(f"hilbert-overlaps{tag}", worst <= TOL,
+                           f"max | |<a|b>|^2 - 1/d | = {worst:.3e} over {of_pairs}"))
 
     worst = 0.0
     for basis in bases.values():
         pur = qupit_purities(basis.vectors, params)
         dev = float(abs(pur - pur.round()).max())
         worst = max(worst, dev)
-    out.append((f"hilbert-purities{tag}", worst <= TOL,
-                f"max distance of any qupit purity from {{0,1}} = {worst:.3e}{scope}"))
+    out.append(CheckResult(f"hilbert-purities{tag}", worst <= TOL,
+                           f"max distance of any qupit purity from {{0,1}} = {worst:.3e}{scope}"))
     return out
 
 
@@ -204,30 +197,30 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--hilbert-max-dim must be at least 1, got {args.hilbert_max_dim}")
     with open(args.infile, "r", encoding="utf-8") as fh:
         comp = from_json_dict(json.load(fh))
-    checks = [(c.name, c.passed, c.detail) for c in verify_spread(comp).checks]
+    checks = list(verify_spread(comp).checks)
     try:
         census = purity_census(comp)
         p, n = comp.params.p, comp.params.n
-        checks.append(("purity-census", True,
-                       f"every qupit pure {p + 1} and entangled {p ** n - p} times, "
-                       f"identity tally {census.identity_tally}"))
+        checks.append(CheckResult("purity-census", True,
+                                  f"every qupit pure {p + 1} and entangled {p ** n - p} times, "
+                                  f"identity tally {census.identity_tally}"))
     except MubkitError as exc:
-        checks.append(("purity-census", False, str(exc)))
-    structural_ok = all(passed for _, passed, _ in checks)
-    if structural_ok:
+        checks.append(CheckResult("purity-census", False, str(exc)))
+    if all(c.passed for c in checks):
         checks.extend(_hilbert_checks(comp, args.hilbert_max_dim))
     else:
-        checks.append(("hilbert", False, "skipped: structural checks failed"))
-    rows, ok = _check_lines(checks)
+        checks.append(CheckResult("hilbert", False, "skipped: structural checks failed"))
+    ok = all(c.passed for c in checks)
     if args.format == "json":
-        print(json.dumps({"ok": ok, "checks": rows}, indent=2, sort_keys=True))
+        print(json.dumps({"ok": ok, "checks": [asdict(c) for c in checks]},
+                         indent=2, sort_keys=True))
     elif args.format == "csv":
         print(_csv_text([["name", "passed", "detail"]]
-                        + [[r["name"], r["passed"], r["detail"]] for r in rows]), end="")
+                        + [[c.name, c.passed, c.detail] for c in checks]), end="")
     else:
-        for r in rows:
-            print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}: {r['detail']}")
-        print(f"{'OK' if ok else 'FAILED'}  {sum(r['passed'] for r in rows)}/{len(rows)} checks")
+        for c in checks:
+            print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
+        print(f"{'OK' if ok else 'FAILED'}  {sum(c.passed for c in checks)}/{len(checks)} checks")
     return 0 if ok else 1
 
 
@@ -296,8 +289,8 @@ def cmd_stoich(args) -> int:
     table = profile_table(params)
     forbid = tuple(args.forbid or ())
     fixes = _parse_fixes(args.fix)
-    if args.minimize and args.maximize:
-        raise ValueError("choose one of --minimize/--maximize")
+    if sum(map(bool, (args.count_only, args.minimize, args.maximize))) > 1:
+        raise ValueError("choose one of --count-only/--minimize/--maximize")
     if args.minimize or args.maximize:
         label = args.minimize or args.maximize
         direction = "min" if args.minimize else "max"

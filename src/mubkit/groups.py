@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DependentGeneratorsError, NonCommutingError,
                      TheoremViolationError)
-from .pauli import PauliOp, from_vector, symplectic_form, symplectic_form_vec
+from .pauli import PauliOp, symplectic_form, symplectic_form_vec
 from .zplinalg import Mat, SystemParams, Vec, reduce_vector, rref
 
 MUB_LABELS = ("PI", "B", "SB", "G3", "S2B", "SG3", "BB", "G4", "C4", "P4", "OTHER")
@@ -44,9 +44,6 @@ class CompatGroup:
         p, n = self.params.p, self.params.n
         powers = p ** np.arange(2 * n, dtype=np.int64)
         return frozenset(int(k) for k in self.members @ powers)
-
-    def operators(self) -> tuple[PauliOp, ...]:
-        return tuple(from_vector(tuple(int(v) for v in row)) for row in self.members)
 
 
 def validate_generators(params: SystemParams, gens: list[PauliOp] | tuple[PauliOp, ...]) -> Mat:

@@ -10,9 +10,9 @@ quoted equation forms, and splits type counts into per-variant counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+from operator import itemgetter
 
 from .errors import InfeasibleError, MubkitError
 from .zplinalg import SystemParams
@@ -177,14 +177,9 @@ def extremize(table: ProfileTable, label: str, direction: str = "min",
         raise ValueError(f"label {label!r} is forbidden")
     if label not in table.labels:
         raise ValueError(f"unknown label {label!r}, expected one of " + ", ".join(table.labels))
-    best: dict[str, int] | None = None
-    for sol in _iter_solutions(table, forbid, fixes):
-        if best is None:
-            best = sol
-        elif direction == "min" and sol[label] < best[label]:
-            best = sol
-        elif direction == "max" and sol[label] > best[label]:
-            best = sol
+    pick = min if direction == "min" else max
+    # min and max keep the first extreme they meet, the lex-first solution
+    best = pick(_iter_solutions(table, forbid, fixes), key=itemgetter(label), default=None)
     if best is None:
         raise InfeasibleError(
             f"no distribution satisfies the constraints (forbid={list(forbid)}, fixes={fixes})")
@@ -207,58 +202,20 @@ class DerivedEquation:
         return dict(self.coeffs)
 
 
-def _make_eq(name: str, labels, coeff_list, rhs) -> DerivedEquation:
-    ints = [int(c) for c in coeff_list]
-    if any(Fraction(c) != ic for c, ic in zip(coeff_list, ints)) or Fraction(rhs) != int(rhs):
+def _make_eq(name: str, labels, coeff_list, rhs: int, divisor: int = 1) -> DerivedEquation:
+    """The identity coeff_list . labels = rhs over divisor, in lowest terms.
+
+    divisor must divide every coefficient and rhs exactly.
+    """
+    if any(c % divisor for c in coeff_list) or rhs % divisor:
         raise MubkitError(f"equation {name} did not reduce to integers")
-    g = 0
-    for c in ints + [int(rhs)]:
-        g = gcd(g, c)
+    g = gcd(*coeff_list, rhs)
     if g > 1:
-        ints = [c // g for c in ints]
-        rhs = int(rhs) // g
-    pairs = tuple((lab, c) for lab, c in zip(labels, ints) if c)
-    return DerivedEquation(name, pairs, int(rhs))
+        coeff_list = [c // g for c in coeff_list]
+        rhs //= g
+    pairs = tuple((lab, c) for lab, c in zip(labels, coeff_list) if c)
+    return DerivedEquation(name, pairs, rhs)
 
-
-def _frac_rref(mat: list[list[Fraction]]):
-    work = [row[:] for row in mat]
-    pivots = []
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        hit = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if hit is None:
-            continue
-        work[r], work[hit] = work[hit], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def _primitive(vec: list[Fraction]) -> list[int]:
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    # orient so the largest magnitude coefficient is positive
-    lead = max(ints, key=abs)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return ints
 
 # column combinations quoted for the reduced 4 qupit systems: each entry maps
 # column index (0 based) to its multiplier, with a common divisor
@@ -282,35 +239,25 @@ def derived_equations(params: SystemParams) -> tuple[DerivedEquation, ...]:
     labels = list(table.labels)
     cols = [[table.rows[l][c] for l in labels] for c in range(n)]
     out: list[DerivedEquation] = []
-    g1 = 0
-    for c in cols[0]:
-        g1 = gcd(g1, c)
-    g1 = gcd(g1, table.totals[0])
-    out.append(_make_eq("one-body", labels, [Fraction(c, g1) for c in cols[0]],
-                        Fraction(table.totals[0], g1)))
+    out.append(_make_eq("one-body", labels, cols[0], table.totals[0]))
     if n == 3:
-        # homogeneous directions of [columns; total] give the exchange rule
-        full = [[Fraction(v) for v in col] for col in cols]
-        full.append([Fraction(1)] * len(labels))
-        red, pivots = _frac_rref(full)
-        free = [c for c in range(len(labels)) if c not in pivots]
-        if len(free) != 1:
+        # [columns; total] has rank 2 on three labels, so the cross product of
+        # the one-body column and the all-ones total row spans its homogeneous
+        # solutions
+        a0, a1, a2 = cols[0]
+        vec = [a1 - a2, a2 - a0, a0 - a1]
+        if not any(vec) or any(sum(v * c for v, c in zip(vec, row)) for row in cols):
             raise MubkitError("the 3 qupit system should have one exchange direction")
-        f = free[0]
-        vec = [Fraction(0)] * len(labels)
-        vec[f] = Fraction(1)
-        for row, c in zip(red, pivots):
-            vec[c] = -row[f]
-        ints = _primitive(vec)
-        out.append(DerivedEquation(
-            "exchange", tuple((lab, c) for lab, c in zip(labels, ints) if c), 0))
+        # orient so the largest magnitude coefficient is positive
+        sign = 1 if max(vec, key=abs) > 0 else -1
+        out.append(_make_eq("exchange", labels, [sign * v for v in vec], 0))
     if n == 4 and p in _REDUCTION_COMBOS:
         derived: dict[str, DerivedEquation] = {}
         for name, combo, divisor in _REDUCTION_COMBOS[p]:
-            coeffs = [Fraction(sum(combo.get(e, 0) * cols[e][i] for e in range(n)), divisor)
+            coeffs = [sum(combo.get(e, 0) * cols[e][i] for e in range(n))
                       for i in range(len(labels))]
-            rhs = Fraction(sum(combo.get(e, 0) * table.totals[e] for e in range(n)), divisor)
-            eq = _make_eq(name, labels, coeffs, rhs)
+            rhs = sum(combo.get(e, 0) * table.totals[e] for e in range(n))
+            eq = _make_eq(name, labels, coeffs, rhs, divisor)
             derived[name] = eq
             out.append(eq)
         total = derived["total"]
@@ -318,15 +265,15 @@ def derived_equations(params: SystemParams) -> tuple[DerivedEquation, ...]:
             raise MubkitError("the total combination did not reduce to the class count")
         if p == 2:
             sep = derived["separable-sum"].as_dict()
-            coeffs = [Fraction(1 - sep.get(lab, 0)) for lab in labels]
+            coeffs = [1 - sep.get(lab, 0) for lab in labels]
             out.append(_make_eq("paired-remainder", labels, coeffs,
-                                Fraction(total.rhs - derived["separable-sum"].rhs)))
+                                total.rhs - derived["separable-sum"].rhs))
         else:
             # eliminate C4 between the 2-body reduction and the total count
             two = derived["two-body-reduced"].as_dict()
             c4 = two.get("C4", 0)
-            coeffs = [Fraction(c4 * 1 - two.get(lab, 0)) for lab in labels]
-            rhs = Fraction(c4 * total.rhs - derived["two-body-reduced"].rhs)
+            coeffs = [c4 - two.get(lab, 0) for lab in labels]
+            rhs = c4 * total.rhs - derived["two-body-reduced"].rhs
             if coeffs[labels.index("P4")] < 0:
                 coeffs = [-c for c in coeffs]
                 rhs = -rhs

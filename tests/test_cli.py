@@ -339,6 +339,12 @@ def test_stoich_rejects_labels_before_solving(capsys, argv, word):
 def test_stoich_argument_errors(capsys):
     assert run(capsys, "stoich", "--p", "2", "--n", "4", "--minimize", "PI",
                "--maximize", "PI")[0] == 2
+    code, out, err = run(capsys, "stoich", "--p", "3", "--n", "3", "--minimize", "PI",
+                         "--count-only")
+    assert code == 2 and out == ""
+    assert "choose one of --count-only/--minimize/--maximize" in err
+    assert run(capsys, "stoich", "--p", "3", "--n", "3", "--maximize", "PI",
+               "--count-only")[0] == 2
     assert run(capsys, "stoich", "--p", "2", "--n", "4", "--fix", "PI=x")[0] == 2
     assert run(capsys, "stoich", "--p", "2", "--n", "4", "--forbid", "XYZ",
                "--count-only")[0] == 2

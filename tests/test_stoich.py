@@ -1,6 +1,7 @@
 """Integer distribution systems: tables, solvers, reduced equations, variants."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_label_order():
 
 
 def test_include_p4_control():
-    assert "P4" in _table(2, 4, include_p4=False).rows or True
+    assert "P4" not in _table(2, 4, include_p4=False).rows
     assert "P4" not in _table(2, 4).rows
     assert "P4" in _table(3, 4).rows
     assert "P4" not in _table(3, 4, include_p4=False).rows
@@ -292,6 +293,25 @@ def test_extremize_errors():
         extremize(_table(2, 4), "P4", "min", fixes={"PI": 99})
 
 
+def _first_strict_improvement(table, label, direction):
+    """Oracle: scan the lex-ordered solutions, replacing only on a strict gain."""
+    best = None
+    for sol in enumerate_solutions(table):
+        if (best is None or (direction == "min" and sol[label] < best[label])
+                or (direction == "max" and sol[label] > best[label])):
+            best = sol
+    return best
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_extremize_matches_first_strict_improvement(p, n):
+    table = _table(p, n)
+    for label in table.labels:
+        for direction in ("min", "max"):
+            want = _first_strict_improvement(table, label, direction)
+            assert extremize(table, label, direction) == want, (label, direction)
+
+
 # ---------------------------------------------------------------------------
 # reduced equations
 
@@ -331,6 +351,59 @@ def test_exchange_rule():
         eqs = _by_name(derived_equations(SystemParams(p, 3)))
         assert eqs["one-body"] == ({"PI": 3, "SB": 1}, 3 * (p + 1))
         assert eqs["exchange"] == ({"PI": -1, "SB": 3, "G3": -2}, 0)
+
+
+def _frac_rref(mat):
+    """Gauss-Jordan elimination over the rationals: (reduced rows, pivots)."""
+    work = [row[:] for row in mat]
+    pivots = []
+    r = 0
+    for c in range(len(work[0])):
+        hit = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if hit is None:
+            continue
+        work[r], work[hit] = work[hit], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
+def _exchange_by_rref(table):
+    """Oracle: the primitive homogeneous solution of [columns; total] over
+    Fraction, oriented so its largest magnitude coefficient is positive."""
+    labels = table.labels
+    full = [[Fraction(table.rows[l][c]) for l in labels] for c in range(table.params.n)]
+    full.append([Fraction(1)] * len(labels))
+    red, pivots = _frac_rref(full)
+    free = [c for c in range(len(labels)) if c not in pivots]
+    assert len(free) == 1
+    vec = [Fraction(0)] * len(labels)
+    vec[free[0]] = Fraction(1)
+    for row, c in zip(red, pivots):
+        vec[c] = -row[free[0]]
+    denom = 1
+    for v in vec:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in vec]
+    g = gcd(*ints)
+    ints = [c // g for c in ints]
+    if max(ints, key=abs) < 0:
+        ints = [-c for c in ints]
+    return {lab: c for lab, c in zip(labels, ints) if c}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_exchange_rule_matches_rational_elimination(p):
+    eqs = _by_name(derived_equations(SystemParams(p, 3)))
+    assert eqs["exchange"] == (_exchange_by_rref(_table(p, 3)), 0)
 
 
 def test_exchange_rule_connects_solutions():
