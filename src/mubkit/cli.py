@@ -72,7 +72,7 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def _parse_filter(text: str | None) -> dict[str, int] | None:
-    if not text:
+    if text is None:
         return None
     out: dict[str, int] = {}
     for part in text.split(","):
@@ -289,11 +289,11 @@ def cmd_stoich(args) -> int:
     table = profile_table(params)
     forbid = tuple(args.forbid or ())
     fixes = _parse_fixes(args.fix)
-    if sum(map(bool, (args.count_only, args.minimize, args.maximize))) > 1:
+    if args.count_only + (args.minimize is not None) + (args.maximize is not None) > 1:
         raise ValueError("choose one of --count-only/--minimize/--maximize")
-    if args.minimize or args.maximize:
-        label = args.minimize or args.maximize
-        direction = "min" if args.minimize else "max"
+    label = args.minimize if args.minimize is not None else args.maximize
+    if label is not None:
+        direction = "min" if args.minimize is not None else "max"
         sol = extremize(table, label, direction, forbid=forbid, fixes=fixes)
         if args.format == "json":
             print(json.dumps({"objective": {label: sol[label]}, "solution": sol},

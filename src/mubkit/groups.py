@@ -138,37 +138,48 @@ class MubType:
     profile: tuple[int, ...]
 
 
+def type_rows(params: SystemParams) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each named type on 1 to 4 qupits as (sorted separation block sizes,
+    closed form n-body profile); empty above 4 qupits.
+
+    P4 is a row only for p >= 3: no 4-qubit group is free of 1- and 2-body
+    members.
+    """
+    p, n = params.p, params.n
+    r = p - 1
+    q = p * p - 1
+    if n == 1:
+        return {"PI": ((1,), (r,))}
+    if n == 2:
+        return {"PI": ((1, 1), (2 * r, r * r)), "B": ((2,), (0, q))}
+    if n == 3:
+        return {
+            "PI": ((1, 1, 1), (3 * r, 3 * r * r, r ** 3)),
+            "SB": ((1, 2), (r, q, r * q)),
+            "G3": ((3,), (0, 3 * r, r * r * (p + 2))),
+        }
+    if n != 4:
+        return {}
+    rows = {
+        "PI": ((1, 1, 1, 1), (4 * r, 6 * r * r, 4 * r ** 3, r ** 4)),
+        "S2B": ((1, 1, 2), (2 * r, 2 * p * r, 2 * r * q, r ** 3 * (p + 1))),
+        "SG3": ((1, 3), (r, 3 * r, r * r * (p + 5), r ** 3 * (p + 2))),
+        "BB": ((2, 2), (0, 2 * q, 0, q * q)),
+        "G4": ((4,), (0, 6 * r, 4 * r * (p - 2), p ** 4 - 4 * p * p + 6 * p - 3)),
+        "C4": ((4,), (0, 2 * r, 4 * p * r, p ** 4 - 4 * p * p + 2 * p + 1)),
+    }
+    if p >= 3:
+        rows["P4"] = ((4,), (0, 0, 4 * q, p ** 4 - 4 * p * p + 3))
+    return rows
+
+
 def classify_basis(group: CompatGroup) -> MubType:
-    """Named basis type from the separation pattern, falling back on the
-    n-body profile of a nonseparable 4 qupit block."""
-    p, n = group.params.p, group.params.n
+    """The type_rows label whose block sizes and n-body profile the group
+    shows, or OTHER when none does."""
     pattern = separation_pattern(group)
     profile = nbody_profile(group)
-    sizes = sorted(len(b) for b in pattern)
-    if n > 4:
-        label = "OTHER"
-    elif sizes == [1] * n:
-        label = "PI"
-    elif n == 2:
-        label = "B"
-    elif n == 3:
-        label = "SB" if sizes == [1, 2] else "G3"
-    elif sizes == [1, 1, 2]:
-        label = "S2B"
-    elif sizes == [1, 3]:
-        label = "SG3"
-    elif sizes == [2, 2]:
-        label = "BB"
-    else:
-        two_body, three_body = profile[1], profile[2]
-        if two_body == 6 * (p - 1):
-            label = "G4"
-        elif two_body == 2 * (p - 1):
-            label = "C4"
-        elif two_body == 0 and three_body == 4 * (p * p - 1):
-            label = "P4"
-        else:
-            label = "OTHER"
+    key = (tuple(sorted(len(b) for b in pattern)), profile)
+    label = next((lab for lab, row in type_rows(group.params).items() if row == key), "OTHER")
     return MubType(label, pattern, profile)
 
 

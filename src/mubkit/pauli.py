@@ -94,10 +94,7 @@ def format_pauli(op: PauliOp) -> str:
 
 def symplectic_form(a: PauliOp, b: PauliOp, p: int) -> int:
     """x_a . z_b - z_a . x_b mod p; zero iff the operators commute."""
-    acc = 0
-    for xa, za, xb, zb in zip(a.x, a.z, b.x, b.z):
-        acc += xa * zb - za * xb
-    return acc % p
+    return symplectic_form_vec(a.vector(), b.vector(), p)
 
 
 def symplectic_form_vec(a: Vec, b: Vec, p: int) -> int:

@@ -15,6 +15,7 @@ from math import comb, gcd
 from operator import itemgetter
 
 from .errors import InfeasibleError, MubkitError
+from .groups import type_rows
 from .zplinalg import SystemParams
 
 # exact solution counts of the full (P4 allowed) systems, frozen after
@@ -34,43 +35,14 @@ class ProfileTable:
     total_count: int
 
 
-def profile_table(params: SystemParams, include_p4: bool | None = None) -> ProfileTable:
-    """Closed form n-body profiles of the named types, 1 to 4 qupits.
-
-    include_p4 defaults to p >= 3; asking for it at p = 2 is an error since
-    no 4-qubit group has the zero 1- and 2-body profile.
-    """
+def profile_table(params: SystemParams) -> ProfileTable:
+    """The n-body rows of groups.type_rows, 1 to 4 qupits, with the
+    complement-wide column totals."""
     p, n = params.p, params.n
-    r = p - 1
-    q = p * p - 1
-    if include_p4 is None:
-        include_p4 = p >= 3
-    elif include_p4 and p == 2:
-        raise ValueError("the P4 profile requires p >= 3")
-    if n == 1:
-        rows = {"PI": (r,)}
-    elif n == 2:
-        rows = {"PI": (2 * r, r * r), "B": (0, q)}
-    elif n == 3:
-        rows = {
-            "PI": (3 * r, 3 * r * r, r ** 3),
-            "SB": (r, q, r * q),
-            "G3": (0, 3 * r, r * r * (p + 2)),
-        }
-    elif n == 4:
-        rows = {
-            "PI": (4 * r, 6 * r * r, 4 * r ** 3, r ** 4),
-            "S2B": (2 * r, 2 * p * r, 2 * r * q, r ** 3 * (p + 1)),
-            "SG3": (r, 3 * r, r * r * (p + 5), r ** 3 * (p + 2)),
-            "BB": (0, 2 * q, 0, q * q),
-            "G4": (0, 6 * r, 4 * r * (p - 2), p ** 4 - 4 * p * p + 6 * p - 3),
-            "C4": (0, 2 * r, 4 * p * r, p ** 4 - 4 * p * p + 2 * p + 1),
-            "P4": (0, 0, 4 * q, p ** 4 - 4 * p * p + 3),
-        }
-        if not include_p4:
-            del rows["P4"]
-    else:
+    if not 1 <= n <= 4:
         raise ValueError(f"profile tables cover 1 to 4 qupits, got n={n}")
+    rows = {label: profile for label, (_, profile) in type_rows(params).items()}
+    q = p * p - 1
     totals = tuple(comb(n, k) * q ** k for k in range(1, n + 1))
     return ProfileTable(params, tuple(rows), rows, totals, p ** n + 1)
 

@@ -223,7 +223,9 @@ def test_complement_search_filter_counts_every_spread(capsys, argv, examined):
     (["--limit", "0"], "limit"),
     (["--filter", "PI=0", "--method", "field"], "--method search"),
     (["--filter", "PI=0,PI=3"], "repeated"),
-], ids=["bad-count", "unknown-label", "limit-0", "field-filter", "repeated-label"])
+    (["--filter", ""], "filter"),
+], ids=["bad-count", "unknown-label", "limit-0", "field-filter", "repeated-label",
+        "empty-filter"])
 def test_complement_bad_filter_clause(capsys, extra, word):
     code, out, err = run(capsys, "complement", "--p", "2", "--n", "2",
                          "--method", "search", *extra)
@@ -349,6 +351,11 @@ def test_stoich_argument_errors(capsys):
     assert run(capsys, "stoich", "--p", "2", "--n", "4", "--forbid", "XYZ",
                "--count-only")[0] == 2
     assert run(capsys, "stoich", "--p", "2", "--n", "5", "--count-only")[0] == 2
+    # an empty label is a label, not an absent option
+    for argv in (["--minimize", ""], ["--maximize", ""], ["--minimize", "", "--maximize", "PI"],
+                 ["--maximize", "", "--count-only"]):
+        code, out, _ = run(capsys, "stoich", "--p", "2", "--n", "2", *argv)
+        assert code == 2 and out == "", argv
 
 
 # ---------------------------------------------------------------------------

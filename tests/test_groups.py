@@ -1,7 +1,7 @@
 """Compatibility groups: enumeration, factor structure, and labels."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from mubkit.groups import (
     qupit_factor_distribution,
     random_lagrangian,
     separation_pattern,
+    type_rows,
     validate_generators,
 )
 from mubkit.pauli import PauliOp, parse_pauli, symplectic_form
@@ -352,7 +353,74 @@ def test_profile_sums():
 
 def test_label_vocabulary():
     assert set(_EXPECT[k][0] for k in _EXPECT) < set(MUB_LABELS)
-    assert "OTHER" in MUB_LABELS
+    # the ordered union of the type table's labels, P4 included from p = 3
+    union = {lab: None for n in range(1, 5) for lab in type_rows(SystemParams(3, n))}
+    assert MUB_LABELS == tuple(union) + ("OTHER",)
+
+
+def _classify_by_thresholds(group):
+    """The per-label threshold chain that the type_rows lookup replaced."""
+    p, n = group.params.p, group.params.n
+    sizes = sorted(len(b) for b in separation_pattern(group))
+    profile = nbody_profile(group)
+    if n > 4:
+        return "OTHER"
+    if sizes == [1] * n:
+        return "PI"
+    if n == 2:
+        return "B"
+    if n == 3:
+        return "SB" if sizes == [1, 2] else "G3"
+    if sizes == [1, 1, 2]:
+        return "S2B"
+    if sizes == [1, 3]:
+        return "SG3"
+    if sizes == [2, 2]:
+        return "BB"
+    two_body, three_body = profile[1], profile[2]
+    if two_body == 6 * (p - 1):
+        return "G4"
+    if two_body == 2 * (p - 1):
+        return "C4"
+    if two_body == 0 and three_body == 4 * (p * p - 1):
+        return "P4"
+    return "OTHER"
+
+
+def _weighted_graph_states(params):
+    """Every weighted graph state [I | Gamma], Gamma symmetric with zero diagonal.
+
+    Labels depend only on which sites each member touches, which local
+    Clifford maps keep, and every stabilizer basis is local Clifford
+    equivalent to a graph state, so these show every label case.
+    """
+    p, n = params.p, params.n
+    edges = list(combinations(range(n), 2))
+    for weights in product(range(p), repeat=len(edges)):
+        gamma = [[0] * n for _ in range(n)]
+        for (i, j), w in zip(edges, weights):
+            gamma[i][j] = gamma[j][i] = w
+        yield CompatGroup(params, tuple(
+            tuple(int(i == j) for j in range(n)) + tuple(gamma[i]) for i in range(n)))
+
+
+def _differential_groups(case):
+    if case == "graph-3-4":
+        return list(_weighted_graph_states(SystemParams(3, 4)))
+    if case == "field-5-4":
+        return field_spread(SystemParams(5, 4)).classes
+    params = SystemParams(*case)
+    return [CompatGroup(params, m) for m in enumerate_lagrangians(params)]
+
+
+@pytest.mark.parametrize("case", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4),
+                                  "graph-3-4", "field-5-4"],
+                         ids=lambda c: c if isinstance(c, str) else "lagrangians-%d-%d" % c)
+def test_type_table_matches_threshold_chain(case):
+    groups = _differential_groups(case)
+    assert len(groups) == {"graph-3-4": 729, "field-5-4": 626}.get(case, len(groups))
+    for g in groups:
+        assert classify_basis(g).label == _classify_by_thresholds(g), g.matrix
 
 
 def test_n5_is_other():

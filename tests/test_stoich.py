@@ -19,8 +19,8 @@ from mubkit.stoich import (
 from mubkit.zplinalg import SystemParams
 
 
-def _table(p, n, **kw):
-    return profile_table(SystemParams(p, n), **kw)
+def _table(p, n):
+    return profile_table(SystemParams(p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +50,9 @@ def test_label_order():
 
 
 def test_include_p4_control():
-    assert "P4" not in _table(2, 4, include_p4=False).rows
-    assert "P4" not in _table(2, 4).rows
-    assert "P4" in _table(3, 4).rows
-    assert "P4" not in _table(3, 4, include_p4=False).rows
-    with pytest.raises(ValueError):
-        _table(2, 4, include_p4=True)
+    # P4 is a row exactly when p >= 3; forbid=("P4",) is the way to leave it out
+    for p in (2, 3, 5):
+        assert ("P4" in _table(p, 4).rows) == (p >= 3), p
     with pytest.raises(ValueError):
         _table(2, 5)
 
