@@ -18,6 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .complement import (
+    MEMBER_TABLE_GUARD,
     PROOF_MEMORY_GUARD,
     CheckResult,
     Complement,
@@ -28,7 +29,6 @@ from .complement import (
     from_json_dict,
     purity_census,
     search_spreads,
-    to_json_dict,
     verify_spread,
 )
 from .errors import GuardExceededError, InfeasibleError, MubkitError
@@ -56,37 +56,56 @@ def _emit(text: str, path: str | None) -> None:
 def _render_grid(header: list[str], rows: list[list]) -> str:
     cells = [header] + [[str(v) for v in row] for row in rows]
     widths = [max(len(row[c]) for row in cells) for c in range(len(header))]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(v.rjust(w) if j else v.ljust(w)
-                               for j, (v, w) in enumerate(zip(row, widths))))
-        if i == 0:
-            lines.append("-" * len(lines[0]))
+    lines = ["  ".join(v.rjust(w) if j else v.ljust(w) for j, (v, w) in enumerate(zip(row, widths)))
+             for row in cells]
+    lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines) + "\n"
 
 
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+def _render(fmt: str, doc, rows, text) -> None:
+    """Print what --format asks for: the JSON document, the CSV rows or the
+    text. Each is a zero-argument callable, so only the printed form is built."""
+    if fmt == "json":
+        print(json.dumps(doc(), indent=2, sort_keys=True))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows())
+        print(buf.getvalue(), end="")
+    else:
+        _emit(text(), None)
 
 
-def _parse_filter(text: str | None) -> dict[str, int] | None:
-    if text is None:
-        return None
+def _parse_counts(clauses, flag: str) -> dict[str, int]:
+    """LABEL=COUNT clauses of --filter or --fix: a label of MUB_LABELS at most
+    once, each with an integer count >= 0."""
     out: dict[str, int] = {}
-    for part in text.split(","):
+    for part in clauses:
         name, _, value = part.partition("=")
         name = name.strip()
         if not name or not value.strip().isdigit():
-            raise ValueError(f"bad filter clause {part!r}, expected LABEL=COUNT")
+            raise ValueError(f"bad {flag} clause {part!r}, expected LABEL=COUNT")
         if name not in MUB_LABELS:
-            raise ValueError(f"unknown filter label {name!r}, expected one of "
+            raise ValueError(f"unknown {flag} label {name!r}, expected one of "
                              + ", ".join(MUB_LABELS))
         if name in out:
-            raise ValueError(f"repeated filter label {name!r}")
+            raise ValueError(f"repeated {flag} label {name!r}")
         out[name] = int(value)
     return out
+
+
+def _guard_members(classes: int, params: SystemParams) -> None:
+    need = classes * params.dim * 2 * params.n * 8
+    if need > MEMBER_TABLE_GUARD:
+        raise GuardExceededError(
+            f"{classes} classes at p = {params.p}, n = {params.n} need {need} bytes of "
+            f"member tables, over the guard {MEMBER_TABLE_GUARD}")
+
+
+def _load(path: str) -> Complement:
+    with open(path, "r", encoding="utf-8") as fh:
+        comp = from_json_dict(json.load(fh))
+    _guard_members(len(comp.classes), comp.params)
+    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +119,7 @@ def cmd_complement(args) -> int:
             raise ValueError("--filter and --limit need --method search")
         comp = field_spread(params)
     else:
-        filt = _parse_filter(args.filter)
+        filt = None if args.filter is None else _parse_counts(args.filter.split(","), "filter")
         if args.limit is not None and args.limit < 1:
             raise ValueError(f"--limit must be at least 1, got {args.limit}")
         comp = None
@@ -195,8 +214,7 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
 def cmd_verify(args) -> int:
     if args.hilbert_max_dim < 1:
         raise ValueError(f"--hilbert-max-dim must be at least 1, got {args.hilbert_max_dim}")
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        comp = from_json_dict(json.load(fh))
+    comp = _load(args.infile)
     checks = list(verify_spread(comp).checks)
     try:
         census = purity_census(comp)
@@ -211,16 +229,12 @@ def cmd_verify(args) -> int:
     else:
         checks.append(CheckResult("hilbert", False, "skipped: structural checks failed"))
     ok = all(c.passed for c in checks)
-    if args.format == "json":
-        print(json.dumps({"ok": ok, "checks": [asdict(c) for c in checks]},
-                         indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print(_csv_text([["name", "passed", "detail"]]
-                        + [[c.name, c.passed, c.detail] for c in checks]), end="")
-    else:
-        for c in checks:
-            print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
-        print(f"{'OK' if ok else 'FAILED'}  {sum(c.passed for c in checks)}/{len(checks)} checks")
+    _render(args.format,
+            lambda: {"ok": ok, "checks": [asdict(c) for c in checks]},
+            lambda: [["name", "passed", "detail"]] + [[c.name, c.passed, c.detail] for c in checks],
+            lambda: "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}\n"
+                            for c in checks)
+            + f"{'OK' if ok else 'FAILED'}  {sum(c.passed for c in checks)}/{len(checks)} checks")
     return 0 if ok else 1
 
 
@@ -229,6 +243,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.infile is not None and args.generators is not None:
+        raise ValueError("classify takes --in or --generators, not both")
     if args.generators:
         if args.p is None:
             raise ValueError("--generators requires --p")
@@ -236,34 +252,24 @@ def cmd_classify(args) -> int:
         first = tokens[0]
         n = first.count(",") + 1 if "," in first else len(first)
         params = SystemParams(args.p, n)
+        _guard_members(1, params)
         ops = [parse_pauli(t, params) for t in tokens]
         mt = classify_basis(group_from_generators(params, ops))
-        payload = {"label": mt.label,
-                   "variant": [[q + 1 for q in block] for block in mt.pattern],
-                   "profile": list(mt.profile)}
-        if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        elif args.format == "csv":
-            print(_csv_text([["label", "variant", "profile"],
-                             [mt.label, payload["variant"], payload["profile"]]]), end="")
-        else:
-            print(f"{mt.label}  variant={payload['variant']}  profile={tuple(mt.profile)}")
+        variant = [[q + 1 for q in block] for block in mt.pattern]
+        _render(args.format,
+                lambda: {"label": mt.label, "variant": variant, "profile": list(mt.profile)},
+                lambda: [["label", "variant", "profile"], [mt.label, variant, list(mt.profile)]],
+                lambda: f"{mt.label}  variant={variant}  profile={tuple(mt.profile)}")
         return 0
     if not args.infile:
         raise ValueError("classify needs --in FILE or --generators")
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        comp = from_json_dict(json.load(fh))
-    dist = complement_distribution(comp)
-    doc = distribution_json_dict(dist)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print(_csv_text([["label", "count"]] + [[k, v] for k, v in doc["counts"].items()]),
-              end="")
-    else:
-        for i, entry in enumerate(doc["per_basis"]):
-            print(f"basis {i}: {entry['label']}  blocks={entry['variant']}")
-        print("counts: " + ", ".join(f"{k}={v}" for k, v in doc["counts"].items()))
+    doc = distribution_json_dict(complement_distribution(_load(args.infile)))
+    counts = doc["counts"].items()
+    _render(args.format, lambda: doc,
+            lambda: [["label", "count"]] + [[k, v] for k, v in counts],
+            lambda: "".join(f"basis {i}: {entry['label']}  blocks={entry['variant']}\n"
+                            for i, entry in enumerate(doc["per_basis"]))
+            + "counts: " + ", ".join(f"{k}={v}" for k, v in counts))
     return 0
 
 
@@ -271,54 +277,35 @@ def cmd_classify(args) -> int:
 # stoich
 
 
-def _parse_fixes(items) -> dict[str, int]:
-    out = {}
-    for item in items or ():
-        name, _, value = item.partition("=")
-        if not name or not value.strip().lstrip("-").isdigit():
-            raise ValueError(f"bad fix {item!r}, expected LABEL=COUNT")
-        name = name.strip()
-        if name in out:
-            raise ValueError(f"repeated fix label {name!r}")
-        out[name] = int(value)
-    return out
-
-
 def cmd_stoich(args) -> int:
     params = SystemParams(args.p, args.n)
     table = profile_table(params)
     forbid = tuple(args.forbid or ())
-    fixes = _parse_fixes(args.fix)
+    fixes = _parse_counts(args.fix or (), "fix")
     if args.count_only + (args.minimize is not None) + (args.maximize is not None) > 1:
         raise ValueError("choose one of --count-only/--minimize/--maximize")
     label = args.minimize if args.minimize is not None else args.maximize
     if label is not None:
         direction = "min" if args.minimize is not None else "max"
         sol = extremize(table, label, direction, forbid=forbid, fixes=fixes)
-        if args.format == "json":
-            print(json.dumps({"objective": {label: sol[label]}, "solution": sol},
-                             indent=2, sort_keys=True))
-        elif args.format == "csv":
-            print(_csv_text([list(sol), list(sol.values())]), end="")
-        else:
-            print(f"{direction} {label} = {sol[label]}")
-            print("  " + ", ".join(f"{k}={v}" for k, v in sol.items()))
+        _render(args.format,
+                lambda: {"objective": {label: sol[label]}, "solution": sol},
+                lambda: [list(sol), list(sol.values())],
+                lambda: f"{direction} {label} = {sol[label]}\n  "
+                + ", ".join(f"{k}={v}" for k, v in sol.items()))
         return 0
     if args.count_only:
         total = count_solutions(table, forbid=forbid, fixes=fixes)
         print(json.dumps({"count": total}) if args.format == "json" else total)
         return 0
     sols = enumerate_solutions(table, forbid=forbid, fixes=fixes)
-    if args.format == "json":
-        print(json.dumps({"count": len(sols), "solutions": sols}, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        labels = [l for l in table.labels if l not in forbid]
-        print(_csv_text([labels] + [[s[l] for l in labels] for s in sols]), end="")
-    else:
-        labels = [l for l in table.labels if l not in forbid]
-        print(_render_grid(["label"] + [f"#{i}" for i in range(len(sols))],
-                           [[l] + [s[l] for s in sols] for l in labels]), end="")
-        print(f"{len(sols)} solutions")
+    labels = [l for l in table.labels if l not in forbid]
+    _render(args.format,
+            lambda: {"count": len(sols), "solutions": sols},
+            lambda: [labels] + [[s[l] for l in labels] for s in sols],
+            lambda: _render_grid(["label"] + [f"#{i}" for i in range(len(sols))],
+                                 [[l] + [s[l] for s in sols] for l in labels])
+            + f"{len(sols)} solutions")
     return 0
 
 
@@ -362,7 +349,6 @@ def cmd_tables(args) -> int:
     note = ""
     if which == "I":
         p = args.p or 2
-        SystemParams(p, 3)
         rows = _table_rows_n3(p)
         header = ["type"] + [f"#{i}" for i in range(len(rows[0]) - 1)]
         blocks.append((f"I p={p}, 3 qupits", header, rows))
@@ -407,23 +393,10 @@ def cmd_tables(args) -> int:
         payload.update(p=p, rows={r[0]: r[1:] for r in rows})
     else:
         raise ValueError(f"unknown table {args.which!r}")
-    text = "\n".join(f"{title}\n{_render_grid(h, r)}" for title, h, r in blocks)
-    if note:
-        text += note + "\n"
-    return _print_table(args, payload, text, blocks)
-
-
-def _print_table(args, payload, text, blocks) -> int:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        rows = []
-        for _, header, grid in blocks:
-            rows.append(header)
-            rows.extend(grid)
-        print(_csv_text(rows), end="")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    _render(args.format, lambda: payload,
+            lambda: [row for _, header, grid in blocks for row in [header] + grid],
+            lambda: "\n".join(f"{title}\n{_render_grid(h, r)}" for title, h, r in blocks)
+            + (note + "\n" if note else ""))
     return 0
 
 

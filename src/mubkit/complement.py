@@ -29,6 +29,9 @@ LAGRANGIAN_GUARD = 100_000
 SEARCH_NODE_GUARD = 10_000_000
 # bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
 PROOF_MEMORY_GUARD = 1 << 30
+# bytes of int64 member tables that loaded classes ask for, classes p^n 2n 8;
+# admits every spread up to d = 1024 (168 MB), field spreads stop at 625
+MEMBER_TABLE_GUARD = 1 << 28
 
 
 @dataclass(frozen=True)

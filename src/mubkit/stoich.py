@@ -51,15 +51,23 @@ def profile_table(params: SystemParams) -> ProfileTable:
 # solution enumeration
 
 
-def _system(table: ProfileTable, forbid: tuple[str, ...]):
+def _system(table: ProfileTable, forbid: tuple[str, ...], fixes: dict[str, int]):
+    """Equations over the labels left after forbid; each label's fixed count or None."""
     for lab in forbid:
         if lab not in table.labels:
             raise ValueError(f"cannot forbid unknown label {lab!r}")
     labels = [l for l in table.labels if l not in forbid]
+    for lab, v in fixes.items():
+        if lab not in labels:
+            raise ValueError(f"cannot fix label {lab!r}")
+        if v < 0:
+            raise ValueError(f"fixed count for {lab} must be nonnegative")
     coeffs = [[table.rows[l][c] for l in labels] for c in range(table.params.n)]
     coeffs.append([1] * len(labels))
     rhs = list(table.totals) + [table.total_count]
-    return labels, coeffs, rhs
+    if any(v < 0 for row in coeffs + [rhs] for v in row):
+        raise ValueError("profile table rows and totals must be nonnegative")
+    return labels, coeffs, rhs, [fixes.get(l) for l in labels]
 
 
 def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
@@ -68,14 +76,10 @@ def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
 
     Whenever no later label can still feed an equation, that equation pins the
     current label exactly, so trailing variables are determined, not searched.
+    As entries are nonnegative and the total row is all ones, each label is
+    bounded by hi and no residual goes negative.
     """
-    labels, coeffs, rhs = _system(table, tuple(forbid))
-    fixes = dict(fixes or {})
-    for lab, v in fixes.items():
-        if lab not in labels:
-            raise ValueError(f"cannot fix label {lab!r}")
-        if v < 0:
-            raise ValueError(f"fixed count for {lab} must be nonnegative")
+    labels, coeffs, rhs, fixed = _system(table, tuple(forbid), fixes or {})
     m = len(labels)
     neq = len(coeffs)
     later_pos = [[any(coeffs[e][j] > 0 for j in range(i + 1, m))
@@ -87,43 +91,27 @@ def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
             if all(v == 0 for v in residuals):
                 yield dict(zip(labels, acc))
             return
-        hi: int | None = None
-        forced: int | None = None
+        hi = residuals[-1]  # the bound from the all-ones total row
+        forced = fixed[i]
         for e in range(neq):
             ce = coeffs[e][i]
-            if ce > 0:
-                b = residuals[e] // ce
-                hi = b if hi is None else min(hi, b)
+            if ce:
+                hi = min(hi, residuals[e] // ce)
             if not later_pos[e][i]:
                 if ce == 0:
                     if residuals[e]:
                         return
                 elif residuals[e] % ce:
                     return
-                else:
-                    v = residuals[e] // ce
-                    if forced is None:
-                        forced = v
-                    elif forced != v:
-                        return
-        fixed = fixes.get(labels[i])
-        if fixed is not None:
-            if forced is not None and forced != fixed:
-                return
-            forced = fixed
-        if forced is not None:
-            candidates = (forced,)
-        else:
-            candidates = range((hi if hi is not None else 0) + 1)
-        for v in candidates:
-            if v < 0 or (hi is not None and v > hi):
-                continue
-            nxt = [residuals[e] - coeffs[e][i] * v for e in range(neq)]
-            if any(x < 0 for x in nxt):
-                continue
+                elif forced is None:
+                    forced = residuals[e] // ce
+                elif forced != residuals[e] // ce:
+                    return
+        if forced is not None and forced > hi:
+            return
+        for v in range(hi + 1) if forced is None else (forced,):
             acc[i] = v
-            yield from rec(i + 1, nxt)
-        acc[i] = 0
+            yield from rec(i + 1, [residuals[e] - coeffs[e][i] * v for e in range(neq)])
 
     yield from rec(0, rhs)
 
@@ -298,16 +286,10 @@ def variant_assignment(params: SystemParams, solution: dict[str, int]) -> dict:
     if n == 4:
         pairs = list(combinations(range(4), 2))
         for split in _compositions(get("S2B"), 6):
-            sg3 = []
-            ok = True
-            for i in range(4):
-                from_s2b = sum(split[qi] for qi, q in enumerate(pairs) if i not in q)
-                v = target - get("PI") - from_s2b
-                if v < 0:
-                    ok = False
-                    break
-                sg3.append(v)
-            if not ok or sum(sg3) != get("SG3"):
+            # qupit i is pure in every S2B basis whose Bell pair leaves it out
+            sg3 = [target - get("PI") - sum(split[qi] for qi, q in enumerate(pairs) if i not in q)
+                   for i in range(4)]
+            if min(sg3) < 0 or sum(sg3) != get("SG3"):
                 continue
             s2b = {}
             for qi, q in enumerate(pairs):

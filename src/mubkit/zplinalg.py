@@ -183,6 +183,8 @@ class ExtField:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != degree:
                 raise ValueError("modulus must list the non-leading coefficients")
+            if not _is_irreducible(list(modulus) + [1], p):
+                raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
         self.modulus = modulus
         # x^(degree+j) mod m, reduced to coefficient tuples, for j = 0..degree-2
         self._reductions: list[Vec] = []

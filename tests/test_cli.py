@@ -9,8 +9,8 @@ import pytest
 import mubkit.cli
 import mubkit.complement
 from mubkit.cli import main
-from mubkit.complement import (PROOF_MEMORY_GUARD, complement_distribution, dumps,
-                               search_spreads)
+from mubkit.complement import (MEMBER_TABLE_GUARD, PROOF_MEMORY_GUARD,
+                               complement_distribution, dumps, search_spreads)
 from mubkit.zplinalg import SystemParams
 
 
@@ -136,6 +136,32 @@ def test_verify_full_proof_memory_guard(capsys, tmp_path, monkeypatch):
     assert code == 0 and "over 5 of 5 bases" in out
     monkeypatch.setattr(mubkit.cli, "PROOF_MEMORY_GUARD", 1280)
     assert run(capsys, "verify", "--in", str(path))[0] == 0
+
+
+def test_member_table_guard(capsys, tmp_path, monkeypatch):
+    # every benchmark file and field spread up to d = 625 stays under the guard;
+    # the largest is (2,9), 513 classes of 512 x 18 int64 entries
+    assert 513 * 512 * 18 * 8 <= MEMBER_TABLE_GUARD
+    path = tmp_path / "c22.json"
+    run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
+    # 5 classes of 4 x 4 int64 entries hold 640 bytes, one class 128
+    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 639)
+    for argv in (["verify", "--in", str(path)], ["classify", "--in", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "need 640 bytes" in err, argv
+    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 127)
+    code, out, err = run(capsys, "classify", "--generators", "XX,ZZ", "--p", "2")
+    assert code == 3 and out == "" and "need 128 bytes" in err
+    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 128)
+    assert run(capsys, "classify", "--generators", "XX,ZZ", "--p", "2")[0] == 0
+    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 640)
+    assert run(capsys, "verify", "--in", str(path))[0] == 0
+    assert run(capsys, "classify", "--in", str(path))[0] == 0
+    monkeypatch.undo()
+    # 24 qubits would ask for 2^24 x 48 x 8 bytes, about 6.4 GB
+    code, out, err = run(capsys, "classify", "--generators", ",".join(["Z" * 24] * 24),
+                         "--p", "2")
+    assert code == 3 and out == "" and "member tables" in err
 
 
 def test_complement_search_node_guard(capsys, monkeypatch):
@@ -264,6 +290,9 @@ def test_classify_generator_errors(capsys):
     assert code == 2 and "--p" in err
     code, _, err = run(capsys, "classify")
     assert code == 2
+    code, out, err = run(capsys, "classify", "--in", "c22.json", "--generators", "XX,ZZ",
+                         "--p", "2")
+    assert code == 2 and out == "" and "--in" in err and "--generators" in err
 
 
 def test_classify_file_text(capsys, tmp_path):
@@ -425,6 +454,52 @@ def test_tables_csv_and_unknown(capsys):
     assert rows[0][0] == "type"
     assert rows[1] == ["PI", "4", "6", "4", "1"]
     assert run(capsys, "tables", "--which", "IX")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# --format goldens, captured before the formats shared one renderer
+
+_GOLDENS = {
+    # verify keeps only the name and passed columns; details hold float residues
+    "verify-csv": (["verify", "--in", "{c22}", "--format", "csv"],
+                   "name,passed\r\nclass count,True\r\nclasses Lagrangian,True\r\n"
+                   "pairwise disjoint,True\r\nexact cover,True\r\npurity-census,True\r\n"
+                   "hilbert-projectors,True\r\nhilbert-overlaps,True\r\n"
+                   "hilbert-purities,True\r\n"),
+    "classify-generators-csv": (["classify", "--generators", "XXY,XYX,YXX", "--p", "2",
+                                 "--format", "csv"],
+                                'label,variant,profile\r\nG3,"[[1, 2, 3]]","[0, 3, 4]"\r\n'),
+    "classify-generators-text": (["classify", "--generators", "XXY,XYX,YXX", "--p", "2",
+                                  "--format", "text"],
+                                 "G3  variant=[[1, 2, 3]]  profile=(0, 3, 4)\n"),
+    "stoich-minimize-csv": (["stoich", "--p", "3", "--n", "4", "--minimize", "P4",
+                             "--fix", "PI=4", "--format", "csv"],
+                            "PI,S2B,SG3,BB,G4,C4,P4\r\n4,0,0,0,0,72,6\r\n"),
+    "stoich-minimize-text": (["stoich", "--p", "3", "--n", "4", "--minimize", "P4",
+                              "--fix", "PI=4", "--format", "text"],
+                             "min P4 = 6\n  PI=4, S2B=0, SG3=0, BB=0, G4=0, C4=72, P4=6\n"),
+    "tables-II-csv": (["tables", "--which", "II", "--format", "csv"],
+                      "type,1-body,2-body\r\nPI,2,1\r\nB,0,3\r\nall,6,9\r\n"
+                      "type,1-body,2-body,3-body\r\nPI,3,3,1\r\nSB,1,3,3\r\nG3,0,3,4\r\n"
+                      "all,9,27,27\r\ntype,1-body,2-body,3-body,4-body\r\nPI,4,6,4,1\r\n"
+                      "S2B,2,4,6,3\r\nSG3,1,3,7,4\r\nBB,0,6,0,9\r\nG4,0,6,0,9\r\n"
+                      "C4,0,2,8,5\r\nall,12,54,108,81\r\n"),
+    "tables-IV-csv": (["tables", "--which", "IV", "--format", "csv"],
+                      "type,p=2 std,p=2 alt,p=3 std,p=3 alt,p=5 std,p=5 alt\r\n"
+                      "PI,3,0,4,0,6,0\r\nSG3,0,12,0,16,0,24\r\nBB,2,2,0,2,0,0\r\n"
+                      "C4,12,3,72,64,360,396\r\nP4,--,--,6,0,260,206\r\n"
+                      "all,17,17,82,82,626,626\r\n"),
+}
+
+
+@pytest.mark.parametrize("argv,want", list(_GOLDENS.values()), ids=list(_GOLDENS))
+def test_format_goldens(capsys, tmp_path, argv, want):
+    c22 = tmp_path / "c22.json"
+    run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(c22))
+    code, out, err = run(capsys, *[a.format(c22=c22) for a in argv])
+    if argv[0] == "verify":
+        out = "".join(f"{r[0]},{r[1]}\r\n" for r in csv.reader(io.StringIO(out)))
+    assert (code, out, err) == (0, want, "")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from mubkit.errors import InfeasibleError
 from mubkit.stoich import (
     P3_N4_FULL_SOLUTION_COUNT,
     P5_N4_FULL_SOLUTION_COUNT,
+    ProfileTable,
     count_solutions,
     derived_equations,
     enumerate_solutions,
@@ -240,6 +241,100 @@ def test_fixes():
         enumerate_solutions(_table(2, 4), fixes={"PI": -1})
     with pytest.raises(ValueError):
         enumerate_solutions(_table(2, 4), forbid=("XYZ",))
+
+
+def _branchy_solutions(table, forbid=(), fixes=None):
+    """Oracle: the DFS as it was before its unreachable branches went, with
+    the optional upper bound, the negative candidate and residual scans, and
+    the trailing reset of the count."""
+    labels = [l for l in table.labels if l not in forbid]
+    coeffs = [[table.rows[l][c] for l in labels] for c in range(table.params.n)]
+    coeffs.append([1] * len(labels))
+    rhs = list(table.totals) + [table.total_count]
+    fixes = dict(fixes or {})
+    m = len(labels)
+    neq = len(coeffs)
+    later_pos = [[any(coeffs[e][j] > 0 for j in range(i + 1, m))
+                  for i in range(m)] for e in range(neq)]
+    acc = [0] * m
+
+    def rec(i, residuals):
+        if i == m:
+            if all(v == 0 for v in residuals):
+                yield dict(zip(labels, acc))
+            return
+        hi = None
+        forced = None
+        for e in range(neq):
+            ce = coeffs[e][i]
+            if ce > 0:
+                b = residuals[e] // ce
+                hi = b if hi is None else min(hi, b)
+            if not later_pos[e][i]:
+                if ce == 0:
+                    if residuals[e]:
+                        return
+                elif residuals[e] % ce:
+                    return
+                else:
+                    v = residuals[e] // ce
+                    if forced is None:
+                        forced = v
+                    elif forced != v:
+                        return
+        fixed = fixes.get(labels[i])
+        if fixed is not None:
+            if forced is not None and forced != fixed:
+                return
+            forced = fixed
+        if forced is not None:
+            candidates = (forced,)
+        else:
+            candidates = range((hi if hi is not None else 0) + 1)
+        for v in candidates:
+            if v < 0 or (hi is not None and v > hi):
+                continue
+            nxt = [residuals[e] - coeffs[e][i] * v for e in range(neq)]
+            if any(x < 0 for x in nxt):
+                continue
+            acc[i] = v
+            yield from rec(i + 1, nxt)
+        acc[i] = 0
+
+    yield from rec(0, rhs)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])
+def test_solver_matches_branchy_oracle(p, n):
+    table = _table(p, n)
+    last = table.labels[-1]
+    for forbid, fixes in (((), {}), ((last,), {}), ((), {"PI": 1}),
+                          ((last,), {"PI": p + 1}), ((), {"PI": 0, last: 0})):
+        want = list(_branchy_solutions(table, forbid, fixes))
+        assert enumerate_solutions(table, forbid, fixes) == want, (forbid, fixes)
+        assert count_solutions(table, forbid, fixes) == len(want), (forbid, fixes)
+        for label in table.labels:
+            if label in forbid:
+                continue
+            for direction, pick in (("min", min), ("max", max)):
+                best = pick(want, key=lambda s: s[label], default=None)
+                if best is None:
+                    with pytest.raises(InfeasibleError):
+                        extremize(table, label, direction, forbid, fixes)
+                else:
+                    assert extremize(table, label, direction, forbid, fixes) == best
+
+
+def test_negative_table_entries_rejected():
+    table = _table(2, 3)
+    bad = ProfileTable(table.params, table.labels, {**table.rows, "SB": (2, -1, 6)},
+                       table.totals, table.total_count)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_solutions(bad)
+    bad = ProfileTable(table.params, table.labels, table.rows, (-6, 9, 8),
+                       table.total_count)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_solutions(bad)
 
 
 def test_enumeration_is_lexicographic():

@@ -139,6 +139,10 @@ def test_explicit_modulus_accepted():
     assert f.pow(x, 7) == f.one
     with pytest.raises(ValueError):
         ExtField(2, 3, modulus=(1, 1))
+    # x^2 + 1 = (x + 1)^2 over Z_2 and x^2 + 2 = (x + 1)(x + 2) over Z_3
+    for p, deg, modulus in ((2, 2, (1, 0)), (3, 2, (2, 0))):
+        with pytest.raises(ValueError, match="reducible"):
+            ExtField(p, deg, modulus=modulus)
     with pytest.raises(ValueError):
         ExtField(4, 2)
     with pytest.raises(ValueError):
