@@ -151,52 +151,44 @@ def cmd_complement(args) -> int:
 
 
 def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
+    """Prove every basis up to max_dim, else a seeded sample of _SAMPLE_BASES;
+    then check the pairs among them for unbiasedness and their qupit purities."""
     params = comp.params
     d = params.dim
-    sampled = d > max_dim
-    tag = " (sampled)" if sampled else ""
-    out = []
     total = len(comp.classes)
-    if sampled:
-        rng = random.Random(0)
-        idx = sorted(rng.sample(range(total), min(_SAMPLE_BASES, total)))
-        scope = f" over {len(idx)} of {total} bases"
-        bases = {}
-        worst = 0.0
-        fail = ""
-        for i in idx:
-            bases[i] = eigenbasis(comp.classes[i], check=False)
-            dev = eigenvalue_deviation(bases[i])
-            worst = max(worst, dev)
-            if dev > TOL and not fail:
-                fail = f"basis {i} eigenvector deviation {dev:.3e}"
-        out.append(CheckResult(f"hilbert-eigenvectors{tag}", not fail,
-                               fail or f"max deviation {worst:.3e}{scope}"))
-        pairs = list(combinations(idx, 2))
-        of_pairs = f"{len(pairs)} of {comb(total, 2)} pairs"
-    else:
+    full = d <= max_dim
+    if full:
         need = total * d * d * 16
         if need > PROOF_MEMORY_GUARD:
             raise GuardExceededError(
                 f"a full Hilbert proof of {total} bases at d = {d} holds {need} bytes "
                 f"of eigenvectors, over the guard {PROOF_MEMORY_GUARD}; lower "
                 f"--hilbert-max-dim below {d} to sample bases")
-        bases = {}
-        fail = ""
-        for i, cls in enumerate(comp.classes):
-            try:
-                bases[i] = eigenbasis(cls, check=True)
-            except MubkitError as exc:
-                fail = f"basis {i}: {exc}"
-                break
-        out.append(CheckResult(f"hilbert-projectors{tag}", not fail,
-                               fail or f"all {len(comp.classes)} bases rank-one and idempotent"))
-        if fail:
-            return out
-        pairs = list(combinations(range(len(comp.classes)), 2))
-        scope = ""
-        of_pairs = f"{len(pairs)} pairs"
+        idx = list(range(total))
+    else:
+        idx = sorted(random.Random(0).sample(range(total), min(_SAMPLE_BASES, total)))
+    tag = "" if full else " (sampled)"
+    scope = "" if full else f" over {len(idx)} of {total} bases"
+    name = "hilbert-projectors" if full else "hilbert-eigenvectors (sampled)"
+    bases = {}
+    worst = 0.0
+    fail = ""
+    for i in idx:
+        try:
+            bases[i] = eigenbasis(comp.classes[i], check=full)
+        except MubkitError as exc:
+            return [CheckResult(name, False, f"basis {i}: {exc}")]
+        if not full:
+            dev = eigenvalue_deviation(bases[i])
+            worst = max(worst, dev)
+            if dev > TOL and not fail:
+                fail = f"basis {i} eigenvector deviation {dev:.3e}"
+    out = [CheckResult(name, not fail, fail or (
+        f"all {total} bases rank-one and idempotent" if full
+        else f"max deviation {worst:.3e}{scope}"))]
 
+    pairs = list(combinations(idx, 2))
+    of_pairs = f"{len(pairs)} pairs" if full else f"{len(pairs)} of {comb(total, 2)} pairs"
     worst = max((mub_check(bases[a], bases[b]) for a, b in pairs), default=0.0)
     out.append(CheckResult(f"hilbert-overlaps{tag}", worst <= TOL,
                            f"max | |<a|b>|^2 - 1/d | = {worst:.3e} over {of_pairs}"))
@@ -204,8 +196,7 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
     worst = 0.0
     for basis in bases.values():
         pur = qupit_purities(basis.vectors, params)
-        dev = float(abs(pur - pur.round()).max())
-        worst = max(worst, dev)
+        worst = max(worst, float(abs(pur - pur.round()).max()))
     out.append(CheckResult(f"hilbert-purities{tag}", worst <= TOL,
                            f"max distance of any qupit purity from {{0,1}} = {worst:.3e}{scope}"))
     return out
@@ -250,7 +241,7 @@ def cmd_classify(args) -> int:
             raise ValueError("--generators requires --p")
         tokens = [t.strip() for t in args.generators.split(";" if ";" in args.generators else ",")]
         first = tokens[0]
-        n = first.count(",") + 1 if "," in first else len(first)
+        n = first.count(",") + 1 if "," in first or " " in first else len(first)
         params = SystemParams(args.p, n)
         _guard_members(1, params)
         ops = [parse_pauli(t, params) for t in tokens]
@@ -348,13 +339,13 @@ def cmd_tables(args) -> int:
     blocks: list[tuple[str, list[str], list[list]]] = []
     note = ""
     if which == "I":
-        p = args.p or 2
+        p = 2 if args.p is None else args.p
         rows = _table_rows_n3(p)
         header = ["type"] + [f"#{i}" for i in range(len(rows[0]) - 1)]
         blocks.append((f"I p={p}, 3 qupits", header, rows))
         payload.update(p=p, rows={r[0]: r[1:] for r in rows})
     elif which == "II":
-        p = args.p or 2
+        p = 2 if args.p is None else args.p
         sub_rows = {}
         for sub, n in (("a", 2), ("b", 3), ("c", 4)):
             header, rows = _profile_grid(p, n)
@@ -368,7 +359,7 @@ def cmd_tables(args) -> int:
         blocks.append(("III p=2, 4 qubits", header, rows))
         payload.update(p=2, rows={r[0]: r[1:] for r in rows})
     elif which == "IV":
-        ps = (args.p,) if args.p else (2, 3, 5)
+        ps = (2, 3, 5) if args.p is None else (args.p,)
         if any(p not in (2, 3, 5) for p in ps):
             raise ValueError("table IV covers p in {2, 3, 5}")
         cols = []
@@ -385,7 +376,7 @@ def cmd_tables(args) -> int:
                     "which violates 4 BB + 3 G4 + C4 = 72; the valid minimum is BB=2, C4=64")
         payload.update(columns={name: sol for name, sol in cols}, note=note)
     elif which == "V":
-        p = args.p or 3
+        p = 3 if args.p is None else args.p
         if p not in (3, 5):
             raise ValueError("table V covers p in {3, 5}")
         header, rows = _profile_grid(p, 4, ncols=3)

@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-import numpy as np
-
 from .errors import CensusViolationError, GuardExceededError, MubkitError
 from .groups import (CompatGroup, MubType, classify_basis,
                      qupit_factor_distribution)
@@ -171,15 +169,14 @@ def purity_census(c: Complement) -> PurityCensus:
     entangled = [0] * n
     tally = [0] * n
     for cls in c.classes:
-        m = cls.members
         for i in range(n):
             dist = qupit_factor_distribution(cls, i)
             if dist.kind == "pure":
                 pure[i] += 1
             else:
                 entangled[i] += 1
-            idents = int(np.sum((m[:, i] == 0) & (m[:, n + i] == 0)))
-            tally[i] += idents - 1  # the group identity does not count
+            # every local factor, the identity too, shows up multiplicity times
+            tally[i] += dist.multiplicity - 1  # the group identity does not count
     want_pure = p + 1
     want_ent = p ** n - p
     want_tally = p ** (2 * n - 2) - 1
@@ -337,15 +334,21 @@ def to_json_dict(c: Complement) -> dict:
     return {"p": c.params.p, "n": c.params.n, "classes": classes}
 
 
+def _json_int(v) -> int:
+    if type(v) is not int:  # bool, float and str are not integers here
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 def from_json_dict(data: dict) -> Complement:
     try:
-        params = SystemParams(int(data["p"]), int(data["n"]))
+        params = SystemParams(_json_int(data["p"]), _json_int(data["n"]))
         matrices = []
         for entry in data["classes"]:
             rows = []
             for gen in entry["gens"]:
-                x = [int(v) for v in gen["x"]]
-                z = [int(v) for v in gen["z"]]
+                x = [_json_int(v) for v in gen["x"]]
+                z = [_json_int(v) for v in gen["z"]]
                 if len(x) != params.n or len(z) != params.n:
                     raise ValueError("generator length mismatch")
                 if any(not 0 <= v < params.p for v in x + z):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, product
+from functools import cache, cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -22,6 +22,16 @@ from .pauli import PauliOp, symplectic_form, symplectic_form_vec
 from .zplinalg import Mat, SystemParams, Vec, reduce_vector, rref
 
 MUB_LABELS = ("PI", "B", "SB", "G3", "S2B", "SG3", "BB", "G4", "C4", "P4", "OTHER")
+
+
+@cache
+def lex_digits(p: int, n: int) -> np.ndarray:
+    """All p^n digit tuples in lexicographic order, digit 0 most significant,
+    as a read-only int64 array of shape (p^n, n). Row e is the exponent tuple
+    of CompatGroup.members row e and the digits of state index e."""
+    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T.copy()
+    digits.flags.writeable = False
+    return digits
 
 
 @dataclass(frozen=True)
@@ -36,8 +46,7 @@ class CompatGroup:
         """All p^n member vectors, lexicographic in the exponent tuple."""
         p, n = self.params.p, self.params.n
         gens = np.array(self.matrix, dtype=np.int64).reshape(n, 2 * n)
-        coeffs = np.array(list(product(range(p), repeat=n)), dtype=np.int64)
-        return (coeffs @ gens) % p
+        return (lex_digits(p, n) @ gens) % p
 
     @cached_property
     def member_keys(self) -> frozenset[int]:

@@ -13,12 +13,12 @@ square to the identity; for odd p the plain products already have order p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
 
 import numpy as np
 
 from .errors import ProjectorNotRankOneError, SameGroupError
-from .groups import CompatGroup
+from .groups import CompatGroup, lex_digits
 from .pauli import PauliOp
 from .zplinalg import SystemParams
 
@@ -28,17 +28,6 @@ _TIE = 1e-12
 
 def _omega(p: int) -> complex:
     return np.exp(2j * np.pi / p)
-
-
-def _digits(params: SystemParams) -> np.ndarray:
-    """State index digits, site 0 most significant (matches kron order)."""
-    p, n = params.p, params.n
-    return np.array(list(product(range(p), repeat=n)), dtype=np.int64)
-
-
-def _index_powers(params: SystemParams) -> np.ndarray:
-    p, n = params.p, params.n
-    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def operator_matrix(op: PauliOp, params: SystemParams, phased: bool = True) -> np.ndarray:
@@ -56,43 +45,29 @@ def operator_matrix(op: PauliOp, params: SystemParams, phased: bool = True) -> n
     return out
 
 
-class _Space:
-    """Cached index bookkeeping for one (p, n)."""
-
-    def __init__(self, params: SystemParams):
-        self.params = params
-        self.digits = _digits(params)
-        self.powers = _index_powers(params)
-        self.roots = _omega(params.p) ** np.arange(params.p)  # omega^j, j < p
-        self._perms: dict[int, np.ndarray] = {}
-
-    def perm(self, shift: int) -> np.ndarray:
-        """state index -> index of that state plus state `shift`, digit-wise mod p."""
-        got = self._perms.get(shift)
-        if got is None:
-            got = ((self.digits + self.digits[shift]) % self.params.p) @ self.powers
-            self._perms[shift] = got
-        return got
-
-    def generator(self, row) -> tuple[np.ndarray, np.ndarray]:
-        """(perm, amp) of the operator with exponent row (x | z), phased for
-        p = 2: it sends |k> to amp[k] |perm[k]>."""
-        p, n = self.params.p, self.params.n
-        x, z = row[:n], row[n:]
-        amp = self.roots[(self.digits @ np.array(z, dtype=np.int64)) % p]
-        if p == 2:
-            amp = amp * 1j ** int(sum(a * b for a, b in zip(x, z)))
-        return self.perm(int(np.dot(x, self.powers))), amp
+def _roots(p: int) -> np.ndarray:
+    """omega^j for j < p."""
+    return _omega(p) ** np.arange(p)
 
 
-_SPACES: dict[tuple[int, int], _Space] = {}
+@cache
+def _shift_perm(p: int, n: int, shift: int) -> np.ndarray:
+    """state index -> index of that state plus state `shift`, digit-wise mod p."""
+    digits = lex_digits(p, n)
+    perm = np.ravel_multi_index(((digits + digits[shift]) % p).T, (p,) * n)
+    perm.flags.writeable = False
+    return perm
 
 
-def _space(params: SystemParams) -> _Space:
-    key = (params.p, params.n)
-    if key not in _SPACES:
-        _SPACES[key] = _Space(params)
-    return _SPACES[key]
+def _generator(params: SystemParams, row) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, amp) of the operator with exponent row (x | z), phased for
+    p = 2: it sends |k> to amp[k] |perm[k]>."""
+    p, n = params.p, params.n
+    x, z = row[:n], row[n:]
+    amp = _roots(p)[(lex_digits(p, n) @ np.array(z, dtype=np.int64)) % p]
+    if p == 2:
+        amp = amp * 1j ** int(sum(a * b for a, b in zip(x, z)))
+    return _shift_perm(p, n, int(np.ravel_multi_index(x, (p,) * n))), amp
 
 
 @dataclass
@@ -128,20 +103,20 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     """
     params = group.params
     p, n, d = params.p, params.n, params.dim
-    sp = _space(params)
+    digits = lex_digits(p, n)
     amp = np.ones((1, d), dtype=complex)  # G_t |s> = amp[t, s] |s + shift_t>
     for row in group.matrix:
-        perm, g = sp.generator(row)
+        perm, g = _generator(params, row)
         amp = np.repeat(amp[:, None], p, axis=1)  # element t * p + j is G_t G^j
         for j in range(1, p):
             np.multiply(amp[:, j - 1, perm], g, out=amp[:, j])
         amp = amp.reshape(-1, d)
-    shift = group.members[:, :n] @ sp.powers
+    shift = np.ravel_multi_index(group.members[:, :n].T, (p,) * n)
     order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
     c = int(np.count_nonzero(shift == 0))
-    ph = sp.digits @ sp.digits[order].T
+    ph = digits @ digits[order].T
     ph %= p
-    w = (sp.roots.conj() / d)[ph]  # w[k, u] = omega^(-e_k.e_t) / d, t = order[u]
+    w = (_roots(p).conj() / d)[ph]  # w[k, u] = omega^(-e_k.e_t) / d, t = order[u]
     del ph
     diag = (w[:, :c] @ amp[order[:c]]).real  # diag[k, s] = P(k)[s, s]
     s = np.argmax(diag >= diag.max(axis=1, keepdims=True) - _TIE, axis=1)
@@ -150,7 +125,7 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     del amp
     sums = w.reshape(d, d // c, c).sum(axis=2)  # one entry per coset
     del w
-    rows = np.stack([sp.perm(t) for t in shift[order[::c]].tolist()])
+    rows = np.stack([_shift_perm(p, n, t) for t in shift[order[::c]].tolist()])
     k = np.arange(d)
     vecs = np.zeros((d, d), dtype=complex)
     vecs[rows[:, s], k] = sums.T
@@ -173,12 +148,12 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
 def eigenvalue_deviation(basis: MubBasis) -> float:
     """Max deviation of (phased) G_i v_k from omega^(k_i) v_k over all
     (column, generator) pairs; each generator acts on the whole basis at once."""
-    sp = _space(basis.group.params)
-    scale = sp.roots[sp.digits]  # (k, i): omega^(k_i)
+    params = basis.group.params
+    scale = _roots(params.p)[lex_digits(params.p, params.n)]  # (k, i): omega^(k_i)
     v = basis.vectors
     worst = 0.0
     for i, row in enumerate(basis.group.matrix):
-        perm, amp = sp.generator(row)
+        perm, amp = _generator(params, row)
         gv = np.empty_like(v)
         gv[perm] = amp[:, None] * v
         worst = max(worst, float(np.abs(gv - v * scale[:, i]).max()))

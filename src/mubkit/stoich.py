@@ -285,11 +285,13 @@ def variant_assignment(params: SystemParams, solution: dict[str, int]) -> dict:
                 "G3": {_pattern([[0, 1, 2]]): get("G3")}}
     if n == 4:
         pairs = list(combinations(range(4), 2))
-        for split in _compositions(get("S2B"), 6):
+        # every split of S2B gives the SG3 counts the sum 4 (p + 1 - PI) - 2 S2B
+        feasible = 4 * (target - get("PI")) - 2 * get("S2B") == get("SG3")
+        for split in _compositions(get("S2B"), 6) if feasible else ():
             # qupit i is pure in every S2B basis whose Bell pair leaves it out
             sg3 = [target - get("PI") - sum(split[qi] for qi, q in enumerate(pairs) if i not in q)
                    for i in range(4)]
-            if min(sg3) < 0 or sum(sg3) != get("SG3"):
+            if min(sg3) < 0:
                 continue
             s2b = {}
             for qi, q in enumerate(pairs):

@@ -10,7 +10,9 @@ import mubkit.cli
 import mubkit.complement
 from mubkit.cli import main
 from mubkit.complement import (MEMBER_TABLE_GUARD, PROOF_MEMORY_GUARD,
-                               complement_distribution, dumps, search_spreads)
+                               complement_distribution, dumps, field_spread,
+                               search_spreads)
+from mubkit.errors import ProjectorNotRankOneError
 from mubkit.zplinalg import SystemParams
 
 
@@ -79,6 +81,54 @@ def test_verify_detects_tampering(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--in", str(path))
     assert code == 1
     assert "FAIL" in out and "FAILED" in out
+
+
+def _failing_on(basis_index, real, result):
+    """A stand-in for real that answers result (or raises it) for one basis
+    of the (2,2) field spread and defers to real for the others."""
+    target = field_spread(SystemParams(2, 2)).classes[basis_index].matrix
+
+    def fake(obj, *args, **kwargs):
+        group = getattr(obj, "group", obj)
+        if group.matrix != target:
+            return real(obj, *args, **kwargs)
+        if isinstance(result, Exception):
+            raise result
+        return result
+    return fake
+
+
+def test_verify_sampled_proof_reports_deviation(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "c22.json"
+    run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
+    monkeypatch.setattr(mubkit.cli, "eigenvalue_deviation", _failing_on(
+        2, mubkit.cli.eigenvalue_deviation, 1.0))
+    code, out, _ = run(capsys, "verify", "--in", str(path), "--hilbert-max-dim", "2")
+    assert code == 1
+    hilbert = [line for line in out.splitlines() if "hilbert" in line]
+    assert hilbert[0] == ("FAIL  hilbert-eigenvectors (sampled): "
+                          "basis 2 eigenvector deviation 1.000e+00")
+    assert hilbert[1].startswith("PASS  hilbert-overlaps (sampled): ")
+    assert hilbert[1].endswith(" over 10 of 10 pairs")
+    assert hilbert[2].startswith("PASS  hilbert-purities (sampled): ")
+    assert hilbert[2].endswith(" over 5 of 5 bases")
+    assert len(hilbert) == 3 and out.endswith("FAILED  7/8 checks\n")
+
+
+@pytest.mark.parametrize("extra,name", [
+    ([], "hilbert-projectors"),
+    (["--hilbert-max-dim", "2"], "hilbert-eigenvectors (sampled)"),
+], ids=["full", "sampled"])
+def test_verify_stops_at_failing_basis(capsys, tmp_path, monkeypatch, extra, name):
+    path = tmp_path / "c22.json"
+    run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
+    monkeypatch.setattr(mubkit.cli, "eigenbasis", _failing_on(
+        3, mubkit.cli.eigenbasis, ProjectorNotRankOneError("boom")))
+    code, out, _ = run(capsys, "verify", "--in", str(path), *extra)
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert fails == [f"FAIL  {name}: basis 3: boom"]
+    assert "hilbert-overlaps" not in out and out.endswith("FAILED  5/6 checks\n")
 
 
 def test_verify_canonicalises_swapped_generators(capsys, tmp_path):
@@ -279,6 +329,10 @@ def test_classify_generator_pairs(capsys):
     assert doc["label"] == "B"
     assert doc["variant"] == [[1, 2]]
     assert doc["profile"] == [0, 8]
+    # one qupit in pair form, as in parse_pauli: a space marks an exponent pair
+    for gens in ("1 0", "X"):
+        assert run(capsys, "classify", "--generators", gens, "--p", "3") == (
+            0, "PI  variant=[[1]]  profile=(2,)\n", "")
 
 
 def test_classify_generator_errors(capsys):
@@ -445,6 +499,12 @@ def test_tables_profile_blocks(capsys):
     assert code == 0
     for tag in ("II(a)", "II(b)", "II(c)"):
         assert tag in out
+
+
+@pytest.mark.parametrize("which", ["I", "II", "IV", "V"])
+def test_tables_p_zero_is_not_default(capsys, which):
+    code, out, err = run(capsys, "tables", "--which", which, "--p", "0")
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_tables_csv_and_unknown(capsys):

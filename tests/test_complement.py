@@ -294,6 +294,10 @@ def test_json_schema_shape():
     lambda d: d["classes"][0]["gens"][0].update(x=[0, 9]),
     lambda d: d["classes"][0]["gens"].pop(),
     lambda d: d.update(classes=17),
+    lambda d: d.update(p="2"),
+    lambda d: d.update(n=2.0),
+    lambda d: d["classes"][0]["gens"][0].update(x=[1.9, 0]),
+    lambda d: d["classes"][0]["gens"][0].update(x=[True, 0]),
 ])
 def test_malformed_documents_rejected(mutate):
     doc = to_json_dict(field_spread(SystemParams(2, 2)))

@@ -13,6 +13,7 @@ from mubkit.groups import (
     CompatGroup,
     classify_basis,
     group_from_generators,
+    lex_digits,
     nbody_profile,
     qupit_factor_distribution,
     random_lagrangian,
@@ -120,6 +121,20 @@ def test_enumerate_spec_examples():
     g = group_from_generators(params, _letters(params, "X"))
     got = {tuple(int(v) for v in row) for row in g.members}
     assert got == {(0, 0), (1, 0), (2, 0)}
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2)])
+def test_lex_digits_shared_read_only_table(p, n):
+    digits = lex_digits(p, n)
+    assert digits.dtype == np.int64 and digits.shape == (p ** n, n)
+    assert digits.tolist() == [list(e) for e in product(range(p), repeat=n)]
+    assert lex_digits(p, n) is digits and not digits.flags.writeable
+    with pytest.raises(ValueError):
+        digits[0, 0] = 1
+    # member row e is exponent tuple e applied to the generator rows
+    g = random_lagrangian(SystemParams(p, n), random.Random(p * 10 + n))
+    gens = np.array(g.matrix, dtype=np.int64)
+    assert np.array_equal(g.members, digits @ gens % p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,6 +1,7 @@
 """Integer distribution systems: tables, solvers, reduced equations, variants."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
@@ -573,3 +574,62 @@ def test_variants_n4_infeasible():
                                                 "BB": 2, "G4": 0, "C4": 4})
     with pytest.raises(ValueError):
         variant_assignment(SystemParams(2, 5), {})
+
+
+def _variants_n4_scan(params, solution):
+    """The n = 4 split by scanning every composition of S2B into six parts,
+    as variant_assignment did before it checked the SG3 sum first."""
+    target = params.p + 1
+    get = lambda lab: solution.get(lab, 0)
+    pattern = lambda blocks: tuple(sorted(tuple(sorted(b)) for b in blocks))
+    pairs = list(combinations(range(4), 2))
+
+    def compositions(total, k):
+        if k == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, k - 1):
+                yield (first,) + rest
+
+    for split in compositions(get("S2B"), 6):
+        sg3 = [target - get("PI") - sum(split[qi] for qi, q in enumerate(pairs) if i not in q)
+               for i in range(4)]
+        if min(sg3) < 0 or sum(sg3) != get("SG3"):
+            continue
+        s2b = {}
+        for qi, q in enumerate(pairs):
+            rest = [j for j in range(4) if j not in q]
+            s2b[pattern([[rest[0]], [rest[1]], list(q)])] = split[qi]
+        bb = {pattern([list(a), list(b)]): 0
+              for a, b in ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)])}
+        bb[pattern([[0, 1], [2, 3]])] = get("BB")
+        out = {"PI": {pattern([[0], [1], [2], [3]]): get("PI")}, "S2B": s2b,
+               "SG3": {pattern([[i], [j for j in range(4) if j != i]]): sg3[i]
+                       for i in range(4)},
+               "BB": bb}
+        for lab in ("G4", "C4", "P4"):
+            if lab in solution:
+                out[lab] = {pattern([[0, 1, 2, 3]]): get(lab)}
+        return out
+    raise InfeasibleError("no per-variant split keeps every qupit pure exactly p + 1 times")
+
+
+def _outcome(fn, params, solution):
+    try:
+        return fn(params, solution)
+    except InfeasibleError as exc:
+        return ("InfeasibleError", str(exc))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_variants_n4_match_scan_oracle(p):
+    params = SystemParams(p, 4)
+    cases = enumerate_solutions(_table(p, 4))
+    # wrong SG3 sums, a right sum with PI past p + 1, and two right sums that split
+    cases += [{"PI": 0, "S2B": 6, "SG3": 1}, {"PI": 0, "S2B": 4 * (p + 1), "SG3": 0},
+              {"PI": p + 2, "S2B": 0, "SG3": 0}, {"PI": p + 2, "S2B": 0, "SG3": -4},
+              {"PI": 0, "S2B": 2 * (p + 1), "SG3": 0}, {"PI": 1, "S2B": 3, "SG3": 4 * p - 6}]
+    for sol in cases:
+        assert _outcome(variant_assignment, params, sol) == _outcome(
+            _variants_n4_scan, params, sol), sol
