@@ -26,6 +26,7 @@ from .complement import (
     distribution_json_dict,
     dumps,
     field_spread,
+    first_bad_class,
     from_json_dict,
     purity_census,
     search_spreads,
@@ -254,7 +255,11 @@ def cmd_classify(args) -> int:
         return 0
     if not args.infile:
         raise ValueError("classify needs --in FILE or --generators")
-    doc = distribution_json_dict(complement_distribution(_load(args.infile)))
+    comp = _load(args.infile)
+    bad = first_bad_class(comp)
+    if bad:
+        raise MubkitError(f"not a compatibility group: {bad}")
+    doc = distribution_json_dict(complement_distribution(comp))
     counts = doc["counts"].items()
     _render(args.format, lambda: doc,
             lambda: [["label", "count"]] + [[k, v] for k, v in counts],
@@ -461,7 +466,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         _err(exc)
         return 5
-    except (MubkitError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (MubkitError, ValueError, OSError) as exc:
         _err(exc)
         return 2
 

@@ -29,7 +29,7 @@ def lex_digits(p: int, n: int) -> np.ndarray:
     """All p^n digit tuples in lexicographic order, digit 0 most significant,
     as a read-only int64 array of shape (p^n, n). Row e is the exponent tuple
     of CompatGroup.members row e and the digits of state index e."""
-    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T.copy()
+    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, p ** n).T.copy()
     digits.flags.writeable = False
     return digits
 

@@ -30,8 +30,8 @@ def _omega(p: int) -> complex:
     return np.exp(2j * np.pi / p)
 
 
-def operator_matrix(op: PauliOp, params: SystemParams, phased: bool = True) -> np.ndarray:
-    """Dense matrix of X^x1 Z^z1 x ... x X^xn Z^zn on C^(p^n)."""
+def operator_matrix(op: PauliOp, params: SystemParams) -> np.ndarray:
+    """Dense matrix of X^x1 Z^z1 x ... x X^xn Z^zn on C^(p^n), phased for p = 2."""
     p = params.p
     w = _omega(p)
     out = np.array([[1.0 + 0j]])
@@ -39,7 +39,7 @@ def operator_matrix(op: PauliOp, params: SystemParams, phased: bool = True) -> n
         site = np.zeros((p, p), dtype=complex)
         ks = np.arange(p)
         site[(ks + a) % p, ks] = w ** (b * ks)
-        if phased and p == 2:
+        if p == 2:
             site *= 1j ** (a * b)
         out = np.kron(out, site)
     return out

@@ -39,10 +39,6 @@ def from_vector(vec: Vec) -> PauliOp:
     return PauliOp(tuple(vec[:n]), tuple(vec[n:]))
 
 
-def identity(n: int) -> PauliOp:
-    return PauliOp((0,) * n, (0,) * n)
-
-
 def parse_pauli(text: str, params: SystemParams) -> PauliOp:
     """Parse either a letter string like "XZYI" or pairs like "1 0,0 1,1 1,0 0"."""
     raw = text.strip()
@@ -107,24 +103,3 @@ def compose(a: PauliOp, b: PauliOp, p: int) -> PauliOp:
     """The phase free product: exponents add mod p."""
     return PauliOp(tuple((u + v) % p for u, v in zip(a.x, b.x)),
                    tuple((u + v) % p for u, v in zip(a.z, b.z)))
-
-
-def body_count(op: PauliOp) -> int:
-    """Number of sites acted on non trivially."""
-    return sum(1 for i in range(op.n) if op.x[i] or op.z[i])
-
-
-def encode_vector(vec: Vec, p: int) -> int:
-    """Base-p numeral of a symplectic vector, first coordinate least significant."""
-    key = 0
-    for v in reversed(vec):
-        key = key * p + v
-    return key
-
-
-def decode_vector(key: int, length: int, p: int) -> Vec:
-    out = []
-    for _ in range(length):
-        out.append(key % p)
-        key //= p
-    return tuple(out)

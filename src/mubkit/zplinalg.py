@@ -11,8 +11,15 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
+from .errors import GuardExceededError
+
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
+
+# p and n arrive from the command line and from JSON files; past these bounds
+# the primality test and p ** n would run without limit
+P_GUARD = 1 << 31
+N_GUARD = 64
 
 
 def is_prime(n: int) -> bool:
@@ -34,6 +41,9 @@ class SystemParams:
     n: int
 
     def __post_init__(self) -> None:
+        if self.p >= P_GUARD or self.n > N_GUARD:
+            raise GuardExceededError(
+                f"p = {self.p}, n = {self.n} is past the guard p < 2^31, n <= {N_GUARD}")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 1:
@@ -169,7 +179,7 @@ class ExtField:
     smallest with coefficients compared from the constant term up.
     """
 
-    def __init__(self, p: int, degree: int, modulus: Vec | None = None):
+    def __init__(self, p: int, degree: int):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if degree < 1:
@@ -177,33 +187,15 @@ class ExtField:
         self.p = p
         self.degree = degree
         self.order = p ** degree
-        if modulus is None:
-            modulus = self._find_modulus(p, degree)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != degree:
-                raise ValueError("modulus must list the non-leading coefficients")
-            if not _is_irreducible(list(modulus) + [1], p):
-                raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
-        self.modulus = modulus
+        self.modulus = self._find_modulus(p, degree)
         # x^(degree+j) mod m, reduced to coefficient tuples, for j = 0..degree-2
+        m = list(self.modulus) + [1]
         self._reductions: list[Vec] = []
-        red = [(-c) % p for c in modulus]  # x^degree
-        self._reductions.append(tuple(red))
-        for _ in range(degree - 2):
-            red = self._shift_reduce(red)
-            self._reductions.append(tuple(red))
+        for j in range(degree - 1):
+            rem = _poly_divmod([0] * (degree + j) + [1], m, p)[1]
+            self._reductions.append(tuple(rem + [0] * (degree - len(rem))))
         self.zero = (0,) * degree
         self.one = tuple([1] + [0] * (degree - 1))
-
-    def _shift_reduce(self, red: list[int]) -> list[int]:
-        p = self.p
-        top = red[-1]
-        out = [0] + red[:-1]
-        if top:
-            base = self._reductions[0]
-            out = [(a + top * b) % p for a, b in zip(out, base)]
-        return out
 
     @staticmethod
     def _find_modulus(p: int, degree: int) -> Vec:

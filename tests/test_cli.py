@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -237,6 +238,29 @@ def test_complement_guard_exit(capsys):
     assert code == 3 and "error:" in err
 
 
+BIG_P = "1000000000000000003"  # a prime past 2^31
+
+
+@pytest.mark.parametrize("argv", [
+    ["stoich", "--p", BIG_P, "--n", "2", "--count-only"],
+    ["stoich", "--p", "2", "--n", "100", "--count-only"],
+    ["complement", "--p", "2", "--n", "100000", "--method", "search"],
+    ["complement", "--p", "2", "--n", "30000000"],
+    ["verify", "--in", "FILE"],
+    ["classify", "--in", "FILE"],
+], ids=["stoich-p", "stoich-n", "search-n", "field-n", "verify-file-p", "classify-file-p"])
+def test_param_guard_exits_fast(capsys, tmp_path, argv):
+    # past the guard these would run without limit in trial division or in
+    # the Lagrangian count, or fail to print p ** n
+    path = tmp_path / "bigp.json"
+    path.write_text(json.dumps({"p": int(BIG_P), "n": 2, "classes": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "is past the guard p < 2^31, n <= 64" in err
+
+
 def test_complement_search_mode(capsys, tmp_path):
     path = tmp_path / "s22.json"
     code, _, _ = run(capsys, "complement", "--p", "2", "--n", "2",
@@ -354,8 +378,46 @@ def test_classify_file_text(capsys, tmp_path):
     run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
     code, out, _ = run(capsys, "classify", "--in", str(path))
     assert code == 0
-    assert out.count("basis ") == 5
-    assert "counts: B=2, PI=3" in out or "counts: PI=3, B=2" in out
+    assert out == ("basis 0: PI  blocks=[[1], [2]]\n"
+                   "basis 1: PI  blocks=[[1], [2]]\n"
+                   "basis 2: B  blocks=[[1, 2]]\n"
+                   "basis 3: PI  blocks=[[1], [2]]\n"
+                   "basis 4: B  blocks=[[1, 2]]\n"
+                   "counts: B=2, PI=3\n")
+
+
+def _broken_c22(capsys, tmp_path, rank=True, isotropy=True):
+    """A (2,2) field spread with class 0's second generator set to its first,
+    and class 1 given the non-commuting pair X.I and Y.I."""
+    path = tmp_path / "bad22.json"
+    doc = json.loads(run(capsys, "complement", "--p", "2", "--n", "2")[1])
+    if rank:
+        doc["classes"][0]["gens"][1] = doc["classes"][0]["gens"][0]
+    if isotropy:
+        doc["classes"][1]["gens"] = [{"x": [1, 0], "z": [0, 0]}, {"x": [1, 0], "z": [1, 0]}]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("rank,isotropy,reason", [
+    (True, False, "class 0: rank"),
+    (False, True, "class 1: not isotropic"),
+])
+def test_classify_file_rejects_non_groups(capsys, tmp_path, rank, isotropy, reason):
+    path = _broken_c22(capsys, tmp_path, rank, isotropy)
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "classify", "--in", str(path), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: not a compatibility group: {reason}\n"
+
+
+def test_verify_counts_cover_past_first_collision(capsys, tmp_path):
+    path = _broken_c22(capsys, tmp_path)
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 1
+    assert "FAIL  pairwise disjoint: classes 0 and 1 share vector key 4\n" in out
+    # classes 0 to 4 hold 1, 3, 3, 3 and 3 nonzero vectors, 11 of them distinct
+    assert "FAIL  exact cover: 11 of 15 nonzero vectors covered\n" in out
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
+import mubkit.complement
 from mubkit.complement import (
     Complement,
     average_purity,
@@ -15,7 +16,6 @@ from mubkit.complement import (
     field_spread,
     from_json_dict,
     lagrangian_count,
-    loads,
     purity_census,
     search_spreads,
     to_json_dict,
@@ -23,7 +23,7 @@ from mubkit.complement import (
 )
 from mubkit.errors import CensusViolationError, GuardExceededError, MubkitError
 from mubkit.groups import CompatGroup
-from mubkit.zplinalg import SystemParams, rank
+from mubkit.zplinalg import SystemParams, rank, solve_affine
 
 FIELD_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 9),
                (3, 2), (3, 3), (3, 4), (3, 5),
@@ -107,8 +107,10 @@ def test_verify_spread_reports_failures():
     assert names["exact cover"] is False
     # duplicated class: disjointness must fail
     dup = Complement(comp.params, comp.classes[:1] + comp.classes[: len(comp.classes) - 1])
-    names = {c.name: c.passed for c in verify_spread(dup).checks}
-    assert names["pairwise disjoint"] is False
+    checks = {c.name: c for c in verify_spread(dup).checks}
+    assert checks["pairwise disjoint"].passed is False
+    # the count goes on past the first shared vector: classes 0 to 3 cover 12
+    assert checks["exact cover"].detail == "12 of 15 nonzero vectors covered"
     # non Lagrangian class: replace one matrix with a non isotropic one
     bad = (( (1, 0, 0, 0), (0, 0, 1, 0) ),) + tuple(c.matrix for c in comp.classes[1:])
     broken = Complement(comp.params, tuple(CompatGroup(comp.params, m) for m in bad))
@@ -160,11 +162,65 @@ def test_enumerated_lagrangians_are_lagrangian():
                 assert f == 0
 
 
-def test_enumerate_guard():
+def test_enumerate_guard(monkeypatch):
     with pytest.raises(GuardExceededError):
         enumerate_lagrangians(SystemParams(5, 4))
+    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_GUARD", 100)
+    with pytest.raises(GuardExceededError, match="135 Lagrangians exceeds the enumeration guard 100"):
+        enumerate_lagrangians(SystemParams(2, 3))
     with pytest.raises(GuardExceededError):
-        enumerate_lagrangians(SystemParams(2, 3), guard=100)
+        next(search_spreads(SystemParams(2, 3)))
+    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_GUARD", 135)
+    assert len(enumerate_lagrangians(SystemParams(2, 3))) == 135
+
+
+def lagrangian_oracle(params):
+    """Reference enumeration: the earlier rref-node extension, which adds the
+    first row by a product over its tail and every later row one null-space
+    combination at a time."""
+    p, n = params.p, params.n
+    dim = 2 * n
+    out = []
+
+    def extend(rows, last_pivot):
+        if len(rows) == n:
+            out.append(tuple(rows))
+            return
+        for c in range(last_pivot + 1, dim):
+            if any(r[c] for r in rows):
+                continue
+            free = dim - c - 1
+            if len(rows) == 0:
+                for tail in product(range(p), repeat=free):
+                    extend([(0,) * c + (1,) + tail], c)
+                continue
+            coeff_rows = []
+            rhs = []
+            for r in rows:
+                srow = [r[n + j] if j < n else -r[j - n] for j in range(dim)]
+                coeff_rows.append([srow[j] % p for j in range(c + 1, dim)])
+                rhs.append((-srow[c]) % p)
+            part, null = solve_affine(coeff_rows, rhs, free, p)
+            if part is None:
+                continue
+            for combo in product(range(p), repeat=len(null)):
+                tail = list(part)
+                for k, basis_vec in zip(combo, null):
+                    if k:
+                        tail = [(t + k * b) % p for t, b in zip(tail, basis_vec)]
+                extend(rows + [(0,) * c + (1,) + tuple(tail)], c)
+
+    extend([], -1)
+    out.sort(key=lambda m: tuple(v for row in m for v in row))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_enumerate_lagrangians_matches_oracle(p, n):
+    params = SystemParams(p, n)
+    got = enumerate_lagrangians(params)
+    assert got == lagrangian_oracle(params)
+    assert all(type(v) is int for m in got for row in m for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +324,7 @@ def test_search_guard():
 def test_json_round_trip_byte_stable():
     comp = field_spread(SystemParams(3, 2))
     text = dumps(comp)
-    again = loads(text)
+    again = from_json_dict(json.loads(text))
     assert dumps(again) == text
     assert again.params == comp.params
     assert tuple(c.matrix for c in again.classes) == tuple(c.matrix for c in comp.classes)
@@ -304,8 +360,3 @@ def test_malformed_documents_rejected(mutate):
     mutate(doc)
     with pytest.raises(MubkitError):
         from_json_dict(doc)
-
-
-def test_malformed_json_text():
-    with pytest.raises(MubkitError):
-        loads("{not json")

@@ -35,9 +35,8 @@ def test_single_site_matrices():
     assert np.allclose(X, [[0, 1], [1, 0]])
     assert np.allclose(Z, [[1, 0], [0, -1]])
     assert np.allclose(Y, [[0, -1j], [1j, 0]])
-    # without the i^(xz) phase Y is the plain product XZ
-    Y0 = operator_matrix(parse_pauli("Y", p2), p2, phased=False)
-    assert np.allclose(Y0, X @ Z)
+    # the i^(xz) phase times the plain product XZ
+    assert np.allclose(Y, 1j * X @ Z)
     p3 = SystemParams(3, 1)
     w = np.exp(2j * np.pi / 3)
     X3 = operator_matrix(parse_pauli("X", p3), p3)

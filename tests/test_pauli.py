@@ -8,13 +8,9 @@ import pytest
 from mubkit.errors import PauliParseError
 from mubkit.pauli import (
     PauliOp,
-    body_count,
     compose,
-    decode_vector,
-    encode_vector,
     format_pauli,
     from_vector,
-    identity,
     parse_pauli,
     symplectic_form,
     symplectic_form_vec,
@@ -90,7 +86,6 @@ def test_vector_round_trip():
     assert from_vector(op.vector()) == op
     assert op.n == 3
     assert op.site(2) == (2, 1)
-    assert identity(3).vector() == (0,) * 6
 
 
 def test_compose_golden():
@@ -106,7 +101,7 @@ def test_compose_golden():
 def test_compose_group_laws(p):
     rng = random.Random(p)
     n = 3
-    ident = identity(n)
+    ident = PauliOp((0,) * n, (0,) * n)
     for _ in range(50):
         a = from_vector(tuple(rng.randrange(p) for _ in range(2 * n)))
         b = from_vector(tuple(rng.randrange(p) for _ in range(2 * n)))
@@ -147,21 +142,3 @@ def test_symplectic_form_properties(p):
         c = from_vector(tuple(rng.randrange(p) for _ in range(2 * n)))
         assert symplectic_form(a, compose(b, c, p), p) == \
             (f + symplectic_form(a, c, p)) % p
-
-
-def test_body_count():
-    params = SystemParams(2, 4)
-    assert body_count(parse_pauli("IIII", params)) == 0
-    assert body_count(parse_pauli("XIZI", params)) == 2
-    assert body_count(parse_pauli("XXXY", params)) == 4
-
-
-def test_encode_decode():
-    p = 3
-    for vec in product(range(p), repeat=4):
-        key = encode_vector(vec, p)
-        assert decode_vector(key, 4, p) == vec
-    # first coordinate is the least significant digit
-    assert encode_vector((1, 0, 0, 0), 3) == 1
-    assert encode_vector((0, 1, 0, 0), 3) == 3
-    assert encode_vector((0, 0, 0, 2), 3) == 54

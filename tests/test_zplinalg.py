@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from mubkit.errors import GuardExceededError
 from mubkit.zplinalg import (
     ExtField,
     SystemParams,
@@ -32,6 +33,15 @@ def test_system_params_validation():
         SystemParams(1, 2)
     with pytest.raises(ValueError):
         SystemParams(2, 0)
+
+
+def test_system_params_guard():
+    # the largest admitted p is the prime 2^31 - 1, the largest n is 64
+    assert SystemParams(2 ** 31 - 1, 64).p == 2 ** 31 - 1
+    # the guard comes before the primality test and before p ** n
+    for p, n in ((2 ** 31, 1), (10 ** 18 + 3, 2), (2, 65), (4, 30_000_000)):
+        with pytest.raises(GuardExceededError, match="past the guard"):
+            SystemParams(p, n)
 
 
 def test_inv_mod():
@@ -131,22 +141,24 @@ def test_moduli_are_the_first_irreducibles():
     assert ExtField(3, 2).modulus == (1, 0)        # x^2 + 1
     assert ExtField(3, 3).modulus == (1, 2, 0)     # x^3 + 2x + 1
     assert ExtField(5, 2).modulus == (2, 0)        # x^2 + 2
-
-
-def test_explicit_modulus_accepted():
-    f = ExtField(2, 3, modulus=(1, 0, 1))          # x^3 + x^2 + 1
-    x = f.element(2)
-    assert f.pow(x, 7) == f.one
-    with pytest.raises(ValueError):
-        ExtField(2, 3, modulus=(1, 1))
-    # x^2 + 1 = (x + 1)^2 over Z_2 and x^2 + 2 = (x + 1)(x + 2) over Z_3
-    for p, deg, modulus in ((2, 2, (1, 0)), (3, 2, (2, 0))):
-        with pytest.raises(ValueError, match="reducible"):
-            ExtField(p, deg, modulus=modulus)
     with pytest.raises(ValueError):
         ExtField(4, 2)
     with pytest.raises(ValueError):
         ExtField(2, 0)
+
+
+@pytest.mark.parametrize("p,deg", [(2, 1), (2, 2), (2, 5), (3, 3), (5, 4), (7, 3)])
+def test_reductions_match_shift_oracle(p, deg):
+    # reference table: x^(deg+j+1) from x^(deg+j) by one shift, folding the
+    # overflow back in with x^deg mod m
+    f = ExtField(p, deg)
+    red = [(-c) % p for c in f.modulus]
+    want = [tuple(red)]
+    for _ in range(deg - 2):
+        top, red = red[-1], [0] + red[:-1]
+        red = [(a + top * b) % p for a, b in zip(red, want[0])]
+        want.append(tuple(red))
+    assert f._reductions == want[:deg - 1]
 
 
 @pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
