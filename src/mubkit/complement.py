@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -19,13 +20,17 @@ from .errors import CensusViolationError, GuardExceededError, MubkitError
 from .groups import (CompatGroup, MubType, classify_basis, lex_digits,
                      qupit_factor_distribution)
 from .pauli import symplectic_form_vec
-from .zplinalg import ExtField, Mat, SystemParams, Vec, rref, solve_affine
+from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
 LAGRANGIAN_GUARD = 100_000
 # search_spreads visits about 100k nodes per second on a 2-vCPU box; a
 # first hit at (2,4) takes 332, the whole (2,3) sweep 6520
 SEARCH_NODE_GUARD = 10_000_000
+# Lagrangians per block when enumerate_lagrangians makes its tuples and
+# _cover_masks its bit tables (4096 p^2n bytes, 27 MB at (3,4)), so neither
+# holds a second copy of the whole list
+LAGRANGIAN_BATCH = 4096
 # bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
 PROOF_MEMORY_GUARD = 1 << 30
 # bytes of int64 member tables that loaded classes ask for, classes p^n 2n 8;
@@ -222,43 +227,81 @@ def lagrangian_count(params: SystemParams) -> int:
     return total
 
 
-def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
-    """All Lagrangian subspaces of Z_p^2n in canonical order.
+def _subspaces(p: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Every k dimensional subspace of Z_p^n once, as its pivot columns and
+    its k x n rref basis."""
+    for pivots in combinations(range(n), k):
+        free = np.array([(i, c) for i in range(k) for c in range(pivots[i] + 1, n)
+                         if c not in pivots], dtype=np.int64).reshape(-1, 2).T
+        for digits in lex_digits(p, free.shape[1]):
+            basis = np.eye(n, dtype=np.int64)[list(pivots)]
+            basis[free[0], free[1]] = digits
+            yield pivots, basis
 
-    Each isotropic subspace is generated exactly once: a node in rref form is
-    only extended by rows that become the last pivot row of the child's rref,
-    so no deduplication is ever needed.
+
+def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
+    """All Lagrangian subspaces of Z_p^2n in canonical order, one cell at a time.
+
+    A Lagrangian L is fixed by its x-projection U, of dimension k, and a
+    symmetric k x k form S: L = {(u, S u + w) : u in U, w in U^perp}. With
+    U's rref basis B (pivots P) and U^perp's rref basis W (pivots Q), the
+    canonical rref of L is the rows (B | S R) stacked over the rows (0 | W),
+    where R = J - J[:, Q] W and J has a 1 at (i, P_i). R is zero on Q and
+    B R^T = I (off Q, R is the inverse transpose of B's columns there), so
+    S R is the one z-block with zeros on Q whose form B (S R)^T is S.
+    The cell of U holds one Lagrangian per S, p^(k(k+1)/2) of them from one
+    batched product, so nothing is made twice and the count is
+    prod_i (1 + p^i) = sum_k [n choose k]_p p^(k(k+1)/2).
     """
     p, n = params.p, params.n
     total = lagrangian_count(params)
     if total > LAGRANGIAN_GUARD:
         raise GuardExceededError(
             f"{total} Lagrangians exceeds the enumeration guard {LAGRANGIAN_GUARD}")
-    dim = 2 * n
+    cells = []
+    for k in range(n + 1):
+        upper = np.triu_indices(k)
+        forms = np.zeros((p ** len(upper[0]), k, k), dtype=np.int64)
+        forms[:, upper[0], upper[1]] = forms[:, upper[1], upper[0]] = lex_digits(
+            p, len(upper[0]))
+        for pivots, basis in _subspaces(p, n, k):
+            _, null = solve_affine(basis.tolist(), [0] * k, n, p)  # spans U^perp
+            perp, q = rref(null, p)
+            perp = np.array(perp, dtype=np.int64).reshape(n - k, n)
+            select = np.eye(n, dtype=np.int64)[list(pivots)]
+            cell = np.zeros((len(forms), n, 2 * n), dtype=np.int64)
+            cell[:, :k, :n] = basis
+            cell[:, :k, n:] = forms @ ((select - select[:, list(q)] @ perp) % p) % p
+            cell[:, k:, n:] = perp
+            cells.append(cell.reshape(len(forms), -1))
+    flat = np.concatenate(cells)
+    # lexsort keys on the last column first: this is the _canonical_key order
+    order = np.lexsort(flat.T[::-1])
     out: list[Mat] = []
-
-    def extend(rows: list[Vec], last_pivot: int) -> None:
-        if len(rows) == n:
-            out.append(tuple(rows))
-            return
-        for c in range(last_pivot + 1, dim):
-            if any(r[c] for r in rows):
-                continue  # rref of the child would disturb the parent rows
-            # unknown tail w[c+1:], with w zero before c and 1 at c;
-            # isotropy against each existing row is linear in the tail
-            free = dim - c - 1
-            srows = [r[n:] + tuple(-v for v in r[:n]) for r in rows]
-            part, null = solve_affine([s[c + 1:] for s in srows], [-s[c] for s in srows],
-                                      free, p)
-            if part is None:
-                continue
-            null = np.array(null, dtype=np.int64).reshape(len(null), free)
-            for tail in ((part + lex_digits(p, len(null)) @ null) % p).tolist():
-                extend(rows + [(0,) * c + (1,) + tuple(tail)], c)
-
-    extend([], -1)
-    out.sort(key=_canonical_key)
+    for lo in range(0, total, LAGRANGIAN_BATCH):
+        block = flat[order[lo:lo + LAGRANGIAN_BATCH]].reshape(-1, n, 2 * n)
+        out += [tuple(map(tuple, m)) for m in block.tolist()]
     return out
+
+
+def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> list[int]:
+    """Each Lagrangian's nonzero member keys as one int, bit k for key k.
+
+    The member keys of LAGRANGIAN_BATCH Lagrangians at a time come from one
+    product.
+    """
+    p, n = params.p, params.n
+    powers = p ** np.arange(2 * n, dtype=np.int64)
+    masks: list[int] = []
+    for lo in range(0, len(lagrangians), LAGRANGIAN_BATCH):
+        gens = np.array(lagrangians[lo:lo + LAGRANGIAN_BATCH], dtype=np.int64)
+        keys = (lex_digits(p, n) @ gens) % p @ powers
+        bits = np.zeros((len(gens), p ** (2 * n)), dtype=bool)
+        np.put_along_axis(bits, keys, True, axis=1)
+        bits[:, 0] = False  # the zero vector is in every class
+        masks += [int.from_bytes(row.tobytes(), "little")
+                  for row in np.packbits(bits, axis=1, bitorder="little")]
+    return masks
 
 
 def search_spreads(params: SystemParams) -> Iterator[Complement]:
@@ -272,9 +315,7 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     SEARCH_NODE_GUARD search nodes, GuardExceededError is raised.
     """
     lagrangians = enumerate_lagrangians(params)
-    # one bit per nonzero vector key; bit 0, the zero vector, is left out
-    masks = [sum(1 << k for k in CompatGroup(params, m).member_keys if k)
-             for m in lagrangians]
+    masks = _cover_masks(params, lagrangians)
     full = (1 << params.p ** (2 * params.n)) - 2
     chosen: list[int] = []
     nodes = 0

@@ -9,10 +9,11 @@ import pytest
 
 import mubkit.cli
 import mubkit.complement
+import mubkit.stoich
 from mubkit.cli import main
 from mubkit.complement import (MEMBER_TABLE_GUARD, PROOF_MEMORY_GUARD,
                                complement_distribution, dumps, field_spread,
-                               search_spreads)
+                               from_json_dict, search_spreads, verify_spread)
 from mubkit.errors import ProjectorNotRankOneError
 from mubkit.zplinalg import SystemParams
 
@@ -259,6 +260,31 @@ def test_param_guard_exits_fast(capsys, tmp_path, argv):
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert "is past the guard p < 2^31, n <= 64" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stoich", "--p", "101", "--n", "4", "--count-only"],
+    ["stoich", "--p", "101", "--n", "4", "--minimize", "P4"],
+    ["stoich", "--p", "2147483647", "--n", "3", "--count-only"],
+    ["tables", "--which", "I", "--p", "2147483647"],
+], ids=["count-101-4", "minimize-101-4", "count-maxp-3", "table-I-maxp"])
+def test_stoich_node_guard_exit(capsys, monkeypatch, argv):
+    # each of these walks far more DFS nodes than any guard admits
+    monkeypatch.setattr(mubkit.stoich, "STOICH_NODE_GUARD", 1000)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "stoich search passed the node guard 1000" in err
+
+
+def test_complement_search_2_5(capsys, tmp_path):
+    path = tmp_path / "s25.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complement", "--p", "2", "--n", "5",
+                         "--method", "search", "--out", str(path))
+    assert time.perf_counter() - start < 10  # 1.7 s on a 2-vCPU box
+    assert code == 0 and out == "" and err == ""
+    comp = from_json_dict(json.loads(path.read_text()))
+    assert len(comp.classes) == 33 and verify_spread(comp).ok
 
 
 def test_complement_search_mode(capsys, tmp_path):

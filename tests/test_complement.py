@@ -9,6 +9,7 @@ import pytest
 import mubkit.complement
 from mubkit.complement import (
     Complement,
+    _cover_masks,
     average_purity,
     complement_distribution,
     dumps,
@@ -215,12 +216,57 @@ def lagrangian_oracle(params):
     return out
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
-def test_enumerate_lagrangians_matches_oracle(p, n):
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 2),
+                                 (7, 2), (2, 4)])
+def test_enumerate_lagrangians_matches_oracle(monkeypatch, p, n):
     params = SystemParams(p, n)
+    want = lagrangian_oracle(params)
     got = enumerate_lagrangians(params)
-    assert got == lagrangian_oracle(params)
+    assert got == want
     assert all(type(v) is int for m in got for row in m for v in row)
+    # blocks of 64 end inside every list longer than 64
+    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_BATCH", 64)
+    assert enumerate_lagrangians(params) == want
+
+
+def gaussian_binomial(n, k, p):
+    """[n choose k]_p, the number of k dimensional subspaces of Z_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_lagrangian_count_is_q_binomial_sum(p):
+    for n in range(1, 7):
+        cells = sum(gaussian_binomial(n, k, p) * p ** (k * (k + 1) // 2) for k in range(n + 1))
+        assert lagrangian_count(SystemParams(p, n)) == cells
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4), (5, 2)])
+def test_enumerated_cells_have_q_binomial_sizes(p, n):
+    """The Lagrangians whose x-projection has dimension k number
+    [n choose k]_p p^(k(k+1)/2): one per (U, symmetric form on U)."""
+    sizes = {}
+    for m in enumerate_lagrangians(SystemParams(p, n)):
+        k = rank([row[:n] for row in m], p)
+        sizes[k] = sizes.get(k, 0) + 1
+    assert sizes == {k: gaussian_binomial(n, k, p) * p ** (k * (k + 1) // 2)
+                     for k in range(n + 1)}
+
+
+@pytest.mark.parametrize("batch", [4096, 100, 1])
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
+def test_cover_masks_match_member_keys(monkeypatch, p, n, batch):
+    # batches of 100 end inside the list at each size: 135, 1120 and 2295
+    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_BATCH", batch)
+    params = SystemParams(p, n)
+    lagrangians = enumerate_lagrangians(params)
+    want = [sum(1 << k for k in CompatGroup(params, m).member_keys if k)
+            for m in lagrangians]
+    assert _cover_masks(params, lagrangians) == want
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +355,12 @@ def test_search_filter():
     assert verify_spread(comp).ok
     assert complement_distribution(comp).counts == {"SB": 9}
     assert complement_distribution(first_with(SB=0)).counts == {"PI": 3, "G3": 6}
+
+
+def test_search_first_spread_2_5():
+    comp = next(search_spreads(SystemParams(2, 5)))
+    assert len(comp.classes) == 33
+    assert verify_spread(comp).ok
 
 
 def test_search_guard():

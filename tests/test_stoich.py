@@ -6,10 +6,12 @@ from math import comb, gcd
 
 import pytest
 
-from mubkit.errors import InfeasibleError
+import mubkit.stoich
+from mubkit.errors import GuardExceededError, InfeasibleError
 from mubkit.stoich import (
     P3_N4_FULL_SOLUTION_COUNT,
     P5_N4_FULL_SOLUTION_COUNT,
+    STOICH_NODE_GUARD,
     ProfileTable,
     count_solutions,
     derived_equations,
@@ -184,6 +186,18 @@ def test_full_counts_match_frozen_constants():
     assert count_solutions(_table(3, 4)) == P3_N4_FULL_SOLUTION_COUNT == 6005
     assert P3_N4_FULL_SOLUTION_COUNT > 5000
     assert count_solutions(_table(5, 4)) == P5_N4_FULL_SOLUTION_COUNT == 198379
+
+
+def test_node_guard_counts_every_dfs_node(monkeypatch):
+    # counting (3,4) visits 18,566 nodes, (5,4) 598,352: both well inside
+    assert STOICH_NODE_GUARD >= 10 * 598_352
+    monkeypatch.setattr(mubkit.stoich, "STOICH_NODE_GUARD", 18_566)
+    assert count_solutions(_table(3, 4)) == 6005
+    monkeypatch.setattr(mubkit.stoich, "STOICH_NODE_GUARD", 18_565)
+    for run in (lambda t: count_solutions(t), enumerate_solutions,
+                lambda t: extremize(t, "P4", "max")):
+        with pytest.raises(GuardExceededError, match="stoich search passed the node guard 18565"):
+            run(_table(3, 4))
 
 
 def _count_suffixes(p, prefix_sum, two_body_rhs, bb_c, g4_c, c4_c, p4_c, total):
