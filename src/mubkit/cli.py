@@ -185,7 +185,7 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
             if dev > TOL and not fail:
                 fail = f"basis {i} eigenvector deviation {dev:.3e}"
     out = [CheckResult(name, not fail, fail or (
-        f"all {total} bases rank-one and idempotent" if full
+        f"all {total} bases meet their generator eigen-equations within {TOL:g}" if full
         else f"max deviation {worst:.3e}{scope}"))]
 
     pairs = list(combinations(idx, 2))

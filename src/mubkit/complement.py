@@ -27,10 +27,10 @@ LAGRANGIAN_GUARD = 100_000
 # search_spreads visits about 100k nodes per second on a 2-vCPU box; a
 # first hit at (2,4) takes 332, the whole (2,3) sweep 6520
 SEARCH_NODE_GUARD = 10_000_000
-# Lagrangians per block when enumerate_lagrangians makes its tuples and
-# _cover_masks its bit tables (4096 p^2n bytes, 27 MB at (3,4)), so neither
-# holds a second copy of the whole list
-LAGRANGIAN_BATCH = 4096
+# bytes per block when enumerate_lagrangians makes its tuples (rows of 2n^2
+# int64, 4096 rows at (3,4)) and _cover_masks its bit tables (rows of p^2n
+# bytes, 159 at (3,4), 2 at (5,4)), so neither holds a second copy of the list
+BATCH_BYTES = 1 << 20
 # bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
 PROOF_MEMORY_GUARD = 1 << 30
 # bytes of int64 member tables that loaded classes ask for, classes p^n 2n 8;
@@ -130,17 +130,20 @@ def verify_spread(c: Complement) -> SpreadReport:
     bad = first_bad_class(c)
     checks.append(CheckResult(
         "classes Lagrangian", bad is None, bad or "all classes rank n and isotropic"))
-    # every class's keys count toward the cover; the first collision is reported
-    seen: dict[int, int] = {}
+    # every class's keys count toward the cover; the first collision is the
+    # lowest key the first colliding class shares with the classes before it
+    masks = _cover_masks(c.params, [cls.matrix for cls in c.classes])
+    union = 0
     collision = None
-    for idx, cls in enumerate(c.classes):
-        for key in cls.member_keys:
-            if key:
-                other = seen.setdefault(key, idx)
-                if other != idx and collision is None:
-                    collision = (other, idx, key)
+    for idx, mask in enumerate(masks):
+        shared = union & mask
+        if shared and collision is None:
+            low = shared & -shared
+            other = next(j for j in range(idx) if masks[j] & low)
+            collision = (other, idx, low.bit_length() - 1)
+        union |= mask
     universe = p ** (2 * n) - 1
-    covered = len(seen)
+    covered = union.bit_count()
     checks.append(CheckResult(
         "pairwise disjoint", collision is None,
         "no shared nonzero vectors" if collision is None else
@@ -278,8 +281,9 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     # lexsort keys on the last column first: this is the _canonical_key order
     order = np.lexsort(flat.T[::-1])
     out: list[Mat] = []
-    for lo in range(0, total, LAGRANGIAN_BATCH):
-        block = flat[order[lo:lo + LAGRANGIAN_BATCH]].reshape(-1, n, 2 * n)
+    rows = max(1, BATCH_BYTES // flat[0].nbytes)
+    for lo in range(0, total, rows):
+        block = flat[order[lo:lo + rows]].reshape(-1, n, 2 * n)
         out += [tuple(map(tuple, m)) for m in block.tolist()]
     return out
 
@@ -287,14 +291,15 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
 def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> list[int]:
     """Each Lagrangian's nonzero member keys as one int, bit k for key k.
 
-    The member keys of LAGRANGIAN_BATCH Lagrangians at a time come from one
-    product.
+    The member keys of a batch of Lagrangians come from one product, with as
+    many per batch as BATCH_BYTES holds bit-table rows of p^2n bytes.
     """
     p, n = params.p, params.n
     powers = p ** np.arange(2 * n, dtype=np.int64)
+    rows = max(1, BATCH_BYTES // p ** (2 * n))
     masks: list[int] = []
-    for lo in range(0, len(lagrangians), LAGRANGIAN_BATCH):
-        gens = np.array(lagrangians[lo:lo + LAGRANGIAN_BATCH], dtype=np.int64)
+    for lo in range(0, len(lagrangians), rows):
+        gens = np.array(lagrangians[lo:lo + rows], dtype=np.int64)
         keys = (lex_digits(p, n) @ gens) % p @ powers
         bits = np.zeros((len(gens), p ** (2 * n)), dtype=bool)
         np.put_along_axis(bits, keys, True, axis=1)
@@ -317,31 +322,33 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     lagrangians = enumerate_lagrangians(params)
     masks = _cover_masks(params, lagrangians)
     full = (1 << params.p ** (2 * params.n)) - 2
-    chosen: list[int] = []
     nodes = 0
 
-    def dfs(live: list[int], covered: int) -> Iterator[Complement]:
+    def dfs(chain: tuple[int, ...], live: list[int], covered: int) -> Iterator[Complement]:
         nonlocal nodes
         nodes += 1
         if nodes > SEARCH_NODE_GUARD:
             raise GuardExceededError(
                 f"spread search passed the node guard {SEARCH_NODE_GUARD}")
         if covered == full:
-            yield _sorted_complement(params, [lagrangians[i] for i in chosen])
+            # the chain rises through the canonical list, so it is sorted
+            yield Complement(params, tuple(CompatGroup(params, lagrangians[i]) for i in chain))
             return
-        reach = [0] * (len(live) + 1)  # reach[j] is the union of live[j:]
-        for j in range(len(live) - 1, -1, -1):
-            reach[j] = reach[j + 1] | masks[live[j]]
-        for j, ci in enumerate(live):
-            if covered | reach[j] != full:
+        # a branch on live[j] can end in a spread only if covered and the
+        # classes live[j:] reach full, that is only for j <= stop
+        stop, tail = len(live), covered
+        while tail != full:
+            if not stop:
                 return
+            stop -= 1
+            tail |= masks[live[stop]]
+        for j in range(stop + 1):
+            ci = live[j]
             mask = masks[ci]
-            chosen.append(ci)
-            yield from dfs([c for c in live[j + 1:] if not masks[c] & mask],
+            yield from dfs(chain + (ci,), [c for c in live[j + 1:] if not masks[c] & mask],
                            covered | mask)
-            chosen.pop()
 
-    yield from dfs(list(range(len(lagrangians))), 0)
+    yield from dfs((), list(range(len(lagrangians))), 0)
 
 
 # ---------------------------------------------------------------------------

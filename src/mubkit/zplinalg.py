@@ -219,21 +219,12 @@ class ExtField:
             index //= self.p
         return tuple(coeffs)
 
-    def index(self, a: Vec) -> int:
-        k = 0
-        for c in reversed(a):
-            k = k * self.p + c
-        return k
-
     def elements(self) -> Iterable[Vec]:
         for k in range(self.order):
             yield self.element(k)
 
     def add(self, a: Vec, b: Vec) -> Vec:
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a: Vec, b: Vec) -> Vec:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a: Vec, b: Vec) -> Vec:
         p, d = self.p, self.degree
@@ -259,11 +250,6 @@ class ExtField:
             base = self.mul(base, base)
             e >>= 1
         return out
-
-    def inv(self, a: Vec) -> Vec:
-        if a == self.zero:
-            raise ZeroDivisionError("no inverse of 0")
-        return self.pow(a, self.order - 2)
 
     def frobenius(self, a: Vec) -> Vec:
         return self.pow(a, self.p)

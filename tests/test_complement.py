@@ -1,13 +1,18 @@
 """Full complements: construction, verification, census, search, JSON."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
 import mubkit.complement
 from mubkit.complement import (
+    CheckResult,
     Complement,
     _cover_masks,
     average_purity,
@@ -119,6 +124,73 @@ def test_verify_spread_reports_failures():
     assert names["classes Lagrangian"] is False
 
 
+def cover_oracle(c):
+    """Reference cover check: the earlier frozenset/dict loop over every
+    class's member_keys, as the pairwise disjoint and exact cover results.
+    It reads each class's keys in ascending order, so the collision it names
+    is the lowest key the first colliding class shares with earlier ones."""
+    p, n = c.params.p, c.params.n
+    seen = {}
+    collision = None
+    for idx, cls in enumerate(c.classes):
+        for key in sorted(cls.member_keys):
+            if key:
+                other = seen.setdefault(key, idx)
+                if other != idx and collision is None:
+                    collision = (other, idx, key)
+    universe = p ** (2 * n) - 1
+    covered = len(seen)
+    return [CheckResult("pairwise disjoint", collision is None,
+                        "no shared nonzero vectors" if collision is None else
+                        f"classes {collision[0]} and {collision[1]} share vector key {collision[2]}"),
+            CheckResult("exact cover", collision is None and covered == universe,
+                        f"{covered} of {universe} nonzero vectors covered")]
+
+
+def cover_case(name, p, n):
+    params = SystemParams(p, n)
+    classes = field_spread(params).classes
+    if name == "missing":
+        classes = classes[:-1]
+    elif name == "duplicate":
+        classes = classes[:1] + classes[:-1]
+    elif name == "rank":  # class 0's last generator set to its first
+        m = classes[0].matrix
+        classes = (CompatGroup(params, m[:-1] + m[:1]),) + classes[1:]
+    elif name == "one-shared":
+        # at p = 2 and n <= 3, a Lagrangian outside the spread meets some
+        # class in exactly one nonzero vector: keep that class, drop the
+        # others it meets, and append the Lagrangian
+        extra = CompatGroup(params, next(m for m in enumerate_lagrangians(params)
+                                         if m not in {cls.matrix for cls in classes}))
+        shared = [len(cls.member_keys & extra.member_keys) - 1 for cls in classes]
+        keep = shared.index(1)
+        classes = tuple(cls for i, cls in enumerate(classes) if i == keep or not shared[i])
+        classes += (extra,)
+    return Complement(params, classes)
+
+
+COVER_CASES = [(name, p, n) for name in ("field", "missing", "duplicate", "rank")
+               for p, n in ((2, 2), (2, 3), (3, 2))] + [("one-shared", 2, 2), ("one-shared", 2, 3)]
+
+
+@pytest.mark.parametrize("name,p,n", COVER_CASES)
+def test_verify_cover_matches_oracle(monkeypatch, name, p, n):
+    comp = cover_case(name, p, n)
+    want = cover_oracle(comp)
+    assert want[0].passed is (name in ("field", "missing", "rank"))
+    assert want[1].passed is (name == "field")
+    if name == "one-shared":
+        extra = comp.classes[-1].member_keys
+        (key,) = [k for cls in comp.classes[:-1] for k in cls.member_keys & extra if k]
+        assert want[0].detail.endswith(f" share vector key {key}")
+    picked = ("pairwise disjoint", "exact cover")
+    assert [c for c in verify_spread(comp).checks if c.name in picked] == want
+    # two bit-table rows per batch: verify then reads its masks in several batches
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * p ** (2 * n))
+    assert [c for c in verify_spread(comp).checks if c.name in picked] == want
+
+
 def test_distribution_n2_rigidity():
     for p in (2, 3, 5, 7):
         comp = field_spread(SystemParams(p, 2))
@@ -224,9 +296,11 @@ def test_enumerate_lagrangians_matches_oracle(monkeypatch, p, n):
     got = enumerate_lagrangians(params)
     assert got == want
     assert all(type(v) is int for m in got for row in m for v in row)
-    # blocks of 64 end inside every list longer than 64
-    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_BATCH", 64)
-    assert enumerate_lagrangians(params) == want
+    # rows are 2n^2 int64 entries: blocks of 2 rows end inside every list,
+    # and a bound below one row still makes blocks of one
+    for bound in (2 * 16 * n * n, 1):
+        monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", bound)
+        assert enumerate_lagrangians(params) == want
 
 
 def gaussian_binomial(n, k, p):
@@ -260,8 +334,9 @@ def test_enumerated_cells_have_q_binomial_sizes(p, n):
 @pytest.mark.parametrize("batch", [4096, 100, 1])
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
 def test_cover_masks_match_member_keys(monkeypatch, p, n, batch):
-    # batches of 100 end inside the list at each size: 135, 1120 and 2295
-    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_BATCH", batch)
+    # a bit-table row is p^2n bytes; batches of 100 rows end inside the list
+    # at each size: 135, 1120 and 2295
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch * p ** (2 * n))
     params = SystemParams(p, n)
     lagrangians = enumerate_lagrangians(params)
     want = [sum(1 << k for k in CompatGroup(params, m).member_keys if k)
@@ -361,6 +436,24 @@ def test_search_first_spread_2_5():
     comp = next(search_spreads(SystemParams(2, 5)))
     assert len(comp.classes) == 33
     assert verify_spread(comp).ok
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_search_first_hit_3_4_peak_memory():
+    """A first (3,4) spread holds no per-node list of suffix unions: its peak
+    RSS stays under 260 MB, against 402 MB with one int per live class at
+    every node. The peak is the child's own VmHWM; ru_maxrss would report at
+    least the peak it inherits from this process."""
+    code = ("from mubkit.complement import search_spreads\n"
+            "from mubkit.zplinalg import SystemParams\n"
+            "next(search_spreads(SystemParams(3, 4)))\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n")
+    src = str(Path(mubkit.complement.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert int(out) < 260 * 1024  # VmHWM is in kB
 
 
 def test_search_guard():
