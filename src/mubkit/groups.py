@@ -93,28 +93,20 @@ class FactorDistribution:
 
 
 def qupit_factor_distribution(group: CompatGroup, qupit: int) -> FactorDistribution:
-    """The local factor tally at one qupit: a single operator line, each power
-    p^(n-1) times, or all p^2 local classes, each p^(n-2) times."""
+    """The local factor tally at one qupit, read off the rank of its generator
+    columns (x_i | z_i) mod p (paper rule 1): rank 2 gives all p^2 local
+    classes, each p^(n-2) times; rank 1 a single operator line, each power
+    p^(n-1) times."""
     p, n = group.params.p, group.params.n
-    m = group.members
-    codes = m[:, qupit] * p + m[:, n + qupit]
-    tally = np.bincount(codes, minlength=p * p)
-    present = {int(c) for c in np.nonzero(tally)[0]}
-    if len(present) == p * p and n >= 2:
-        want = p ** (n - 2)
-        if all(int(tally[c]) == want for c in range(p * p)):
-            return FactorDistribution("entangled", None, want)
-    if len(present) == p:
-        a, b = next((c // p, c % p) for c in sorted(present) if c)
-        scale = pow(a if a else b, p - 2, p)  # make the first nonzero exponent 1
-        prim = ((a * scale) % p, (b * scale) % p)
-        line = {((k * prim[0]) % p) * p + (k * prim[1]) % p for k in range(p)}
-        want = p ** (n - 1)
-        if present == line and all(int(tally[c]) == want for c in line):
-            return FactorDistribution("pure", prim, want)
-    raise TheoremViolationError(
-        f"qupit {qupit} shows {len(present)} local classes with tallies "
-        f"{sorted(set(int(t) for t in tally if t))}")
+    cols = [(row[qupit] % p, row[n + qupit] % p) for row in group.matrix]
+    a, b = next(((a, b) for a, b in cols if a or b), (0, 0))
+    if not (a or b):
+        raise TheoremViolationError(
+            f"qupit {qupit} shows 1 local classes with tallies [{p ** n}]")
+    if any((a * d - b * c) % p for c, d in cols):  # a row off the first one's line
+        return FactorDistribution("entangled", None, p ** (n - 2))
+    scale = pow(a if a else b, p - 2, p)  # make the first nonzero exponent 1
+    return FactorDistribution("pure", ((a * scale) % p, (b * scale) % p), p ** (n - 1))
 
 
 def separation_pattern(group: CompatGroup) -> tuple[tuple[int, ...], ...]:

@@ -86,12 +86,12 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     that its first entry within _TIE of the largest magnitude is real.
 
     Whole-array construction: the amplitudes of all elements
-    G_t = G_0^e_0 ... G_(n-1)^e_(n-1), e lexicographic as in
-    CompatGroup.members, are folded in one generator at a time (n (p - 1)
-    gathers). Elements that share a shift form a coset of the zero-shift
-    subgroup and land on the same row of P(k) e_s, so each column is the sum
-    over cosets of weighted amplitudes, written with one scatter. No array
-    larger than d x d is formed, so memory stays O(d^2).
+    G_t = G_0^e_0 ... G_(n-1)^e_(n-1), e_t = lex_digits row t, are folded
+    in one generator at a time (n (p - 1) gathers). G_t shifts by e_t times the
+    x-block of the generator matrix; elements that share a shift form a coset
+    of the zero-shift subgroup and land on the same row of P(k) e_s, so each
+    column is the sum over cosets of weighted amplitudes, written with one
+    scatter. No array larger than d x d is formed, so memory stays O(d^2).
 
     With check set, every column is tested against all n generator
     eigen-equations G_i v_k = omega^(k_i) v_k, and ProjectorNotRankOneError is
@@ -111,7 +111,8 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
         for j in range(1, p):
             np.multiply(amp[:, j - 1, perm], g, out=amp[:, j])
         amp = amp.reshape(-1, d)
-    shift = np.ravel_multi_index(group.members[:, :n].T, (p,) * n)
+    xs = (digits @ np.array(group.matrix, dtype=np.int64)[:, :n]) % p
+    shift = np.ravel_multi_index(xs.T, (p,) * n)
     order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
     c = int(np.count_nonzero(shift == 0))
     ph = digits @ digits[order].T
@@ -151,12 +152,13 @@ def eigenvalue_deviation(basis: MubBasis) -> float:
     params = basis.group.params
     scale = _roots(params.p)[lex_digits(params.p, params.n)]  # (k, i): omega^(k_i)
     v = basis.vectors
+    gv = np.empty_like(v)
     worst = 0.0
     for i, row in enumerate(basis.group.matrix):
         perm, amp = _generator(params, row)
-        gv = np.empty_like(v)
         gv[perm] = amp[:, None] * v
-        worst = max(worst, float(np.abs(gv - v * scale[:, i]).max()))
+        gv -= v * scale[:, i]
+        worst = max(worst, float(np.abs(gv).max()))
     return worst
 
 
@@ -196,5 +198,7 @@ def mub_check(a: MubBasis, b: MubBasis) -> float:
     if a.group.matrix == b.group.matrix:
         raise SameGroupError("both bases diagonalize the same compatibility group")
     d = a.group.params.dim
-    m = a.vectors.conj().T @ b.vectors
-    return float(np.abs(np.abs(m) ** 2 - 1.0 / d).max())
+    m = np.abs(a.vectors.conj().T @ b.vectors)
+    m *= m
+    m -= 1.0 / d
+    return float(np.abs(m, out=m).max())

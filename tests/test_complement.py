@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mubkit.complement
+from mubkit.cli import _hilbert_checks
 from mubkit.complement import (
     CheckResult,
     Complement,
@@ -102,6 +104,30 @@ def test_census_violation_detected():
                         tuple(CompatGroup(comp.params, m) for m in [mats[0]] + mats[:-1]))
     with pytest.raises(CensusViolationError):
         purity_census(broken)
+
+
+@pytest.mark.parametrize("p,n,max_dim", [(3, 3, 27), (2, 5, 16)])
+def test_verify_builds_no_member_tables(p, n, max_dim):
+    # the census reads generator columns and the eigenbases their x-blocks, so
+    # neither a full nor a sampled proof caches a p^n x 2n member table
+    comp = field_spread(SystemParams(p, n))
+    purity_census(comp)
+    checks = _hilbert_checks(comp, max_dim)
+    assert all(c.passed for c in checks)
+    assert not any("members" in cls.__dict__ for cls in comp.classes)
+
+
+def test_purity_census_memory_is_small():
+    params = SystemParams(3, 4)
+    comp = field_spread(params)
+    tables = len(comp.classes) * params.dim * 2 * params.n * 8
+    tracemalloc.start()
+    try:
+        purity_census(comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tables / 10
 
 
 def test_verify_spread_reports_failures():

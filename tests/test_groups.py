@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mubkit.complement import enumerate_lagrangians, field_spread
-from mubkit.errors import DependentGeneratorsError, NonCommutingError
+from mubkit.errors import DependentGeneratorsError, NonCommutingError, TheoremViolationError
 from mubkit.groups import (
     MUB_LABELS,
     CompatGroup,
+    FactorDistribution,
     classify_basis,
     group_from_generators,
     lex_digits,
@@ -239,6 +240,66 @@ def test_pure_local_is_primitive():
     g = group_from_generators(params, [_op((0, 0), (2, 0)), _op((0, 0), (0, 1))])
     d = qupit_factor_distribution(g, 0)
     assert (d.kind, d.local, d.multiplicity) == ("pure", (0, 1), 5)
+
+
+def _factor_by_tally(group, qupit):
+    """Reference factor distribution: tally the qupit's local (x, z) factor
+    over all p^n members of the group's member table."""
+    p, n = group.params.p, group.params.n
+    m = group.members
+    codes = m[:, qupit] * p + m[:, n + qupit]
+    tally = np.bincount(codes, minlength=p * p)
+    present = {int(c) for c in np.nonzero(tally)[0]}
+    if len(present) == p * p and n >= 2:
+        want = p ** (n - 2)
+        if all(int(tally[c]) == want for c in range(p * p)):
+            return FactorDistribution("entangled", None, want)
+    if len(present) == p:
+        a, b = next((c // p, c % p) for c in sorted(present) if c)
+        scale = pow(a if a else b, p - 2, p)  # make the first nonzero exponent 1
+        prim = ((a * scale) % p, (b * scale) % p)
+        line = {((k * prim[0]) % p) * p + (k * prim[1]) % p for k in range(p)}
+        want = p ** (n - 1)
+        if present == line and all(int(tally[c]) == want for c in line):
+            return FactorDistribution("pure", prim, want)
+    raise TheoremViolationError(
+        f"qupit {qupit} shows {len(present)} local classes with tallies "
+        f"{sorted(set(int(t) for t in tally if t))}")
+
+
+def _factor_or_error(fn, group, qupit):
+    try:
+        return fn(group, qupit)
+    except TheoremViolationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_factor_distribution_matches_tally_oracle(p, n):
+    params = SystemParams(p, n)
+    for mat in enumerate_lagrangians(params):
+        g = CompatGroup(params, mat)
+        for q in range(n):
+            assert qupit_factor_distribution(g, q) == _factor_by_tally(g, q)
+
+
+@pytest.mark.parametrize("p,n,rows,want", [
+    # X and Z on qupit 0 only: qupit 1's columns are zero
+    (2, 2, ((1, 0, 0, 0), (0, 0, 1, 0)),
+     [FactorDistribution("entangled", None, 1), "qupit 1 shows 1 local classes with tallies [4]"]),
+    # one generator twice: qupit 0 is the line of (2, 1) = 2 (1, 2), qupit 1 is zero
+    (3, 2, ((2, 0, 1, 0), (2, 0, 1, 0)),
+     [FactorDistribution("pure", (1, 2), 3), "qupit 1 shows 1 local classes with tallies [9]"]),
+    # rank 2 at qupit 0 from only two distinct rows out of three
+    (3, 3, ((1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 0, 0)),
+     [FactorDistribution("entangled", None, 3), FactorDistribution("pure", (0, 1), 9),
+      "qupit 2 shows 1 local classes with tallies [27]"]),
+])
+def test_factor_distribution_on_non_lagrangians(p, n, rows, want):
+    # verify runs the census on files that failed the structural checks too
+    g = CompatGroup(SystemParams(p, n), rows)
+    got = [_factor_or_error(qupit_factor_distribution, g, q) for q in range(n)]
+    assert got == [_factor_or_error(_factor_by_tally, g, q) for q in range(n)] == want
 
 
 def test_separation_spec_examples():

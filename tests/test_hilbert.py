@@ -8,11 +8,13 @@ import pytest
 
 from mubkit.complement import enumerate_lagrangians, field_spread
 from mubkit.errors import ProjectorNotRankOneError, SameGroupError
-from mubkit.groups import CompatGroup, group_from_generators, qupit_factor_distribution
+from mubkit.groups import CompatGroup, group_from_generators, lex_digits, qupit_factor_distribution
 from mubkit.hilbert import (
     _TIE,
     MubBasis,
+    _generator,
     _omega,
+    _roots,
     eigenbasis,
     eigenvalue_deviation,
     mub_check,
@@ -305,6 +307,41 @@ def test_cross_overlaps_are_flat(p, n):
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
             assert mub_check(bases[i], bases[j]) < TOL
+
+
+def _mub_check_oracle(a, b):
+    """The earlier mub_check expression, with its extra d x d temporaries."""
+    m = a.vectors.conj().T @ b.vectors
+    return float(np.abs(np.abs(m) ** 2 - 1.0 / a.group.params.dim).max())
+
+
+def _deviation_oracle(basis):
+    """The earlier eigenvalue_deviation loop: a fresh G_i V and V scale per
+    generator."""
+    params = basis.group.params
+    scale = _roots(params.p)[lex_digits(params.p, params.n)]
+    v = basis.vectors
+    worst = 0.0
+    for i, row in enumerate(basis.group.matrix):
+        perm, amp = _generator(params, row)
+        gv = np.empty_like(v)
+        gv[perm] = amp[:, None] * v
+        worst = max(worst, float(np.abs(gv - v * scale[:, i]).max()))
+    return worst
+
+
+def test_trimmed_loops_bit_identical_to_oracles():
+    bases = [eigenbasis(cls) for cls in field_spread(SystemParams(7, 2)).classes]
+    for basis in bases:
+        assert eigenvalue_deviation(basis) == _deviation_oracle(basis)
+    for i, a in enumerate(bases):
+        for b in bases[i + 1:]:
+            assert mub_check(a, b) == _mub_check_oracle(a, b)
+    rng = np.random.default_rng(7)
+    noisy = bases[3].vectors + 1e-6 * rng.standard_normal(bases[3].vectors.shape)
+    bent = MubBasis(bases[3].group, noisy)
+    assert eigenvalue_deviation(bent) == _deviation_oracle(bent) > 1e-7
+    assert mub_check(bent, bases[0]) == _mub_check_oracle(bent, bases[0]) > 1e-7
 
 
 def test_standard_basis_overlap_value():
