@@ -29,12 +29,14 @@ LAGRANGIAN_GUARD = 100_000
 SEARCH_NODE_GUARD = 10_000_000
 # bytes per block when enumerate_lagrangians makes its tuples (rows of 2n^2
 # int64, 4096 rows at (3,4)) and _cover_masks its bit tables (rows of p^2n
-# bytes, 159 at (3,4), 2 at (5,4)), so neither holds a second copy of the list
+# bytes, 159 at (3,4), 2 at (5,4)), so neither holds a second copy of the
+# list; verify_spread holds one block of masks beside its running union
 BATCH_BYTES = 1 << 20
 # bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
 PROOF_MEMORY_GUARD = 1 << 30
-# bytes of int64 member tables that loaded classes ask for, classes p^n 2n 8;
-# admits every spread up to d = 1024 (168 MB), field spreads stop at 625
+# bytes of int64 member tables the loaded classes would fill at once, classes
+# p^n 2n 8 (classify holds one at a time, verify none); admits every spread up
+# to d = 1024 (168 MB), field spreads stop at 625
 MEMBER_TABLE_GUARD = 1 << 28
 
 
@@ -131,15 +133,17 @@ def verify_spread(c: Complement) -> SpreadReport:
     checks.append(CheckResult(
         "classes Lagrangian", bad is None, bad or "all classes rank n and isotropic"))
     # every class's keys count toward the cover; the first collision is the
-    # lowest key the first colliding class shares with the classes before it
-    masks = _cover_masks(c.params, [cls.matrix for cls in c.classes])
+    # lowest key the first colliding class shares with the classes before it,
+    # whose masks are derived again to name the other class
+    matrices = [cls.matrix for cls in c.classes]
     union = 0
     collision = None
-    for idx, mask in enumerate(masks):
+    for idx, mask in enumerate(_cover_masks(c.params, matrices)):
         shared = union & mask
         if shared and collision is None:
             low = shared & -shared
-            other = next(j for j in range(idx) if masks[j] & low)
+            other = next(j for j, m in enumerate(_cover_masks(c.params, matrices[:idx]))
+                         if m & low)
             collision = (other, idx, low.bit_length() - 1)
         union |= mask
     universe = p ** (2 * n) - 1
@@ -288,25 +292,24 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     return out
 
 
-def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> list[int]:
+def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> Iterator[int]:
     """Each Lagrangian's nonzero member keys as one int, bit k for key k.
 
     The member keys of a batch of Lagrangians come from one product, with as
-    many per batch as BATCH_BYTES holds bit-table rows of p^2n bytes.
+    many per batch as BATCH_BYTES holds bit-table rows of p^2n bytes; the
+    masks are yielded in order, one batch at a time.
     """
     p, n = params.p, params.n
     powers = p ** np.arange(2 * n, dtype=np.int64)
     rows = max(1, BATCH_BYTES // p ** (2 * n))
-    masks: list[int] = []
     for lo in range(0, len(lagrangians), rows):
         gens = np.array(lagrangians[lo:lo + rows], dtype=np.int64)
         keys = (lex_digits(p, n) @ gens) % p @ powers
         bits = np.zeros((len(gens), p ** (2 * n)), dtype=bool)
         np.put_along_axis(bits, keys, True, axis=1)
         bits[:, 0] = False  # the zero vector is in every class
-        masks += [int.from_bytes(row.tobytes(), "little")
-                  for row in np.packbits(bits, axis=1, bitorder="little")]
-    return masks
+        for row in np.packbits(bits, axis=1, bitorder="little"):
+            yield int.from_bytes(row.tobytes(), "little")
 
 
 def search_spreads(params: SystemParams) -> Iterator[Complement]:
@@ -320,7 +323,7 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     SEARCH_NODE_GUARD search nodes, GuardExceededError is raised.
     """
     lagrangians = enumerate_lagrangians(params)
-    masks = _cover_masks(params, lagrangians)
+    masks = list(_cover_masks(params, lagrangians))
     full = (1 << params.p ** (2 * params.n)) - 2
     nodes = 0
 

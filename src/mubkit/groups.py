@@ -27,8 +27,8 @@ MUB_LABELS = ("PI", "B", "SB", "G3", "S2B", "SG3", "BB", "G4", "C4", "P4", "OTHE
 @cache
 def lex_digits(p: int, n: int) -> np.ndarray:
     """All p^n digit tuples in lexicographic order, digit 0 most significant,
-    as a read-only int64 array of shape (p^n, n). Row e is the exponent tuple
-    of CompatGroup.members row e and the digits of state index e."""
+    as a read-only int64 array of shape (p^n, n). Row e holds the generator
+    exponents of group member e and the digits of state index e."""
     digits = np.indices((p,) * n, dtype=np.int64).reshape(n, p ** n).T.copy()
     digits.flags.writeable = False
     return digits
@@ -43,13 +43,15 @@ class CompatGroup:
 
     @cached_property
     def members(self) -> np.ndarray:
-        """All p^n member vectors, lexicographic in the exponent tuple."""
+        """All p^n member vectors, lexicographic in the exponent tuple; a
+        reference table that nothing in mubkit reads."""
         p, n = self.params.p, self.params.n
         gens = np.array(self.matrix, dtype=np.int64).reshape(n, 2 * n)
         return (lex_digits(p, n) @ gens) % p
 
     @cached_property
     def member_keys(self) -> frozenset[int]:
+        """Base-p keys of all members; a reference set that nothing in mubkit reads."""
         p, n = self.params.p, self.params.n
         powers = p ** np.arange(2 * n, dtype=np.int64)
         return frozenset(int(k) for k in self.members @ powers)
@@ -74,13 +76,22 @@ def group_from_generators(params: SystemParams, gens: list[PauliOp] | tuple[Paul
     return CompatGroup(params, validate_generators(params, gens))
 
 
+def _support_counts(group: CompatGroup) -> np.ndarray:
+    """The number of members supported on exactly each qupit subset, indexed
+    by bitmask (bit i for qupit i), from one member table that is dropped on
+    return."""
+    p, n = group.params.p, group.params.n
+    m = (lex_digits(p, n) @ np.array(group.matrix, dtype=np.int64).reshape(n, 2 * n)) % p
+    support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
+    return np.bincount(support, minlength=1 << n)
+
+
 def nbody_profile(group: CompatGroup) -> tuple[int, ...]:
     """Counts of members acting on exactly 1..n qupits; the identity is excluded."""
-    n = group.params.n
-    m = group.members
-    bodies = ((m[:, :n] != 0) | (m[:, n:] != 0)).sum(axis=1)
-    counts = np.bincount(bodies, minlength=n + 1)
-    return tuple(int(c) for c in counts[1:])
+    counts = [0] * (group.params.n + 1)
+    for mask, c in enumerate(_support_counts(group).tolist()):
+        counts[mask.bit_count()] += c
+    return tuple(counts[1:])
 
 
 @dataclass(frozen=True)
@@ -118,9 +129,7 @@ def separation_pattern(group: CompatGroup) -> tuple[tuple[int, ...], ...]:
     counts gives inside[S], the order of the subgroup supported inside S.
     """
     p, n = group.params.p, group.params.n
-    m = group.members
-    support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
-    inside = np.bincount(support, minlength=1 << n).reshape((2,) * n)
+    inside = _support_counts(group).reshape((2,) * n)
     for axis in range(n):
         inside = inside.cumsum(axis=axis)
     inside = inside.ravel().tolist()

@@ -13,7 +13,6 @@ square to the identity; for odd p the plain products already have order p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -50,13 +49,15 @@ def _roots(p: int) -> np.ndarray:
     return _omega(p) ** np.arange(p)
 
 
-@cache
-def _shift_perm(p: int, n: int, shift: int) -> np.ndarray:
-    """state index -> index of that state plus state `shift`, digit-wise mod p."""
+def _shift_rows(p: int, n: int, shifts) -> np.ndarray:
+    """Row j sends each state index to the index of that state plus state
+    shifts[j], digit-wise mod p; one row of d entries per shift."""
     digits = lex_digits(p, n)
-    perm = np.ravel_multi_index(((digits + digits[shift]) % p).T, (p,) * n)
-    perm.flags.writeable = False
-    return perm
+    rows = np.zeros((len(shifts), p ** n), dtype=np.int64)
+    for i in range(n):
+        rows *= p
+        rows += (digits[:, i] + digits[shifts, i][:, None]) % p
+    return rows
 
 
 def _generator(params: SystemParams, row) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +68,7 @@ def _generator(params: SystemParams, row) -> tuple[np.ndarray, np.ndarray]:
     amp = _roots(p)[(lex_digits(p, n) @ np.array(z, dtype=np.int64)) % p]
     if p == 2:
         amp = amp * 1j ** int(sum(a * b for a, b in zip(x, z)))
-    return _shift_perm(p, n, int(np.ravel_multi_index(x, (p,) * n))), amp
+    return _shift_rows(p, n, [int(np.ravel_multi_index(x, (p,) * n))])[0], amp
 
 
 @dataclass
@@ -126,7 +127,7 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     del amp
     sums = w.reshape(d, d // c, c).sum(axis=2)  # one entry per coset
     del w
-    rows = np.stack([_shift_perm(p, n, t) for t in shift[order[::c]].tolist()])
+    rows = _shift_rows(p, n, shift[order[::c]])
     k = np.arange(d)
     vecs = np.zeros((d, d), dtype=complex)
     vecs[rows[:, s], k] = sums.T

@@ -217,6 +217,24 @@ def test_verify_cover_matches_oracle(monkeypatch, name, p, n):
     assert [c for c in verify_spread(comp).checks if c.name in picked] == want
 
 
+def test_verify_memory_is_small(monkeypatch):
+    # verify holds one running union and one batch of masks, not a mask per
+    # class: two bit-table rows per batch against 126 rows of p^2n bytes
+    params = SystemParams(5, 3)
+    comp = field_spread(params)
+    tables = len(comp.classes) * params.p ** (2 * params.n)
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * params.p ** (2 * params.n))
+    verify_spread(Complement(params, comp.classes[:1]))  # warm lex_digits
+    tracemalloc.start()
+    try:
+        report = verify_spread(comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < tables / 10
+
+
 def test_distribution_n2_rigidity():
     for p in (2, 3, 5, 7):
         comp = field_spread(SystemParams(p, 2))
@@ -367,7 +385,7 @@ def test_cover_masks_match_member_keys(monkeypatch, p, n, batch):
     lagrangians = enumerate_lagrangians(params)
     want = [sum(1 << k for k in CompatGroup(params, m).member_keys if k)
             for m in lagrangians]
-    assert _cover_masks(params, lagrangians) == want
+    assert list(_cover_masks(params, lagrangians)) == want
 
 
 # ---------------------------------------------------------------------------

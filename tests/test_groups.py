@@ -1,12 +1,13 @@
 """Compatibility groups: enumeration, factor structure, and labels."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
-from mubkit.complement import enumerate_lagrangians, field_spread
+from mubkit.complement import complement_distribution, enumerate_lagrangians, field_spread
 from mubkit.errors import DependentGeneratorsError, NonCommutingError, TheoremViolationError
 from mubkit.groups import (
     MUB_LABELS,
@@ -361,6 +362,78 @@ def test_separation_matches_oracle_on_every_lagrangian(p, n):
 def test_separation_matches_oracle_on_field_spreads(p, n):
     for g in field_spread(SystemParams(p, n)).classes:
         assert separation_pattern(g) == separation_oracle(g), g.matrix
+
+
+def _nbody_by_table(group):
+    """Reference n-body profile: the member-table scan nbody_profile replaced."""
+    n = group.params.n
+    m = group.members
+    bodies = ((m[:, :n] != 0) | (m[:, n:] != 0)).sum(axis=1)
+    counts = np.bincount(bodies, minlength=n + 1)
+    return tuple(int(c) for c in counts[1:])
+
+
+def _separation_by_table(group):
+    """Reference separation pattern: the member-table scan separation_pattern
+    replaced."""
+    p, n = group.params.p, group.params.n
+    m = group.members
+    support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
+    inside = np.bincount(support, minlength=1 << n).reshape((2,) * n)
+    for axis in range(n):
+        inside = inside.cumsum(axis=axis)
+    inside = inside.ravel().tolist()
+    full = (1 << n) - 1
+    blocks = [full]
+    for subset in range(1, 1 << (n - 1)):
+        if inside[subset] * inside[full ^ subset] == p ** n:
+            blocks = [part for b in blocks for part in (b & subset, b & ~subset) if part]
+    return tuple(sorted(tuple(i for i in range(n) if b >> i & 1) for b in blocks))
+
+
+def _assert_matches_table_oracles(g):
+    profile, pattern = nbody_profile(g), separation_pattern(g)
+    assert all(type(c) is int for c in profile)
+    assert profile == _nbody_by_table(g)
+    assert pattern == _separation_by_table(g)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)])
+def test_classification_matches_table_oracles_on_every_lagrangian(p, n):
+    params = SystemParams(p, n)
+    for mat in enumerate_lagrangians(params):
+        _assert_matches_table_oracles(CompatGroup(params, mat))
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3)])
+def test_classification_matches_table_oracles_on_random_lagrangians(p, n):
+    params = SystemParams(p, n)
+    rng = random.Random(100 * p + n)
+    for _ in range(50):
+        _assert_matches_table_oracles(random_lagrangian(params, rng))
+
+
+def test_classification_holds_no_member_tables():
+    # each class's support census is made and dropped inside the call, so
+    # the call's peak, less the labels and patterns it returns, and what
+    # stays behind once those are dropped are each under a tenth of the
+    # member tables of all classes
+    params = SystemParams(3, 4)
+    comp = field_spread(params)
+    tables = len(comp.classes) * params.dim * 2 * params.n * 8
+    complement_distribution(field_spread(params))  # warm lex_digits and numpy's buffer cache
+    tracemalloc.start()
+    try:
+        dist = complement_distribution(comp)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert sum(dist.counts.values()) == len(comp.classes)
+        del dist
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not any("members" in cls.__dict__ for cls in comp.classes)
+    assert held < tables / 10
+    assert peak - (kept - held) < tables / 10
 
 
 def test_bb_and_g4_share_a_profile_but_not_a_label():

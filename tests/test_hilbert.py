@@ -15,6 +15,7 @@ from mubkit.hilbert import (
     _generator,
     _omega,
     _roots,
+    _shift_rows,
     eigenbasis,
     eigenvalue_deviation,
     mub_check,
@@ -104,6 +105,19 @@ def test_commutation_oracle_exhaustive(p, n):
         commute = (perm_ab == perm_ba).all(axis=2) & \
             (np.abs(amp_ab - amp_ba).max(axis=2) < 1e-9)
         assert (commute == (forms[lo:hi] == 0)).all()
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 4)])
+def test_shift_rows_match_ravel_oracle(p, n):
+    digits = lex_digits(p, n)
+    want = np.stack([np.ravel_multi_index(((digits + digits[t]) % p).T, (p,) * n)
+                     for t in range(p ** n)])
+    assert np.array_equal(_shift_rows(p, n, np.arange(p ** n)), want)
+    # any order of shifts, and one shift at a time
+    order = np.random.default_rng(10 * p + n).permutation(p ** n)
+    assert np.array_equal(_shift_rows(p, n, order), want[order])
+    for t in range(p ** n):
+        assert np.array_equal(_shift_rows(p, n, [t])[0], want[t])
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (5, 1)])
