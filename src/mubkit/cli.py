@@ -17,6 +17,8 @@ from dataclasses import asdict
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .complement import (
     MEMBER_TABLE_GUARD,
     PROOF_MEMORY_GUARD,
@@ -197,7 +199,7 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
     worst = 0.0
     for basis in bases.values():
         pur = qupit_purities(basis.vectors, params)
-        worst = max(worst, float(abs(pur - pur.round()).max()))
+        worst = max(worst, float(np.minimum(abs(pur), abs(pur - 1.0)).max()))
     out.append(CheckResult(f"hilbert-purities{tag}", worst <= TOL,
                            f"max distance of any qupit purity from {{0,1}} = {worst:.3e}{scope}"))
     return out

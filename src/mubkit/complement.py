@@ -19,7 +19,6 @@ import numpy as np
 from .errors import CensusViolationError, GuardExceededError, MubkitError
 from .groups import (CompatGroup, MubType, classify_basis, lex_digits,
                      qupit_factor_distribution)
-from .pauli import symplectic_form_vec
 from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
@@ -28,9 +27,10 @@ LAGRANGIAN_GUARD = 100_000
 # first hit at (2,4) takes 332, the whole (2,3) sweep 6520
 SEARCH_NODE_GUARD = 10_000_000
 # bytes per block when enumerate_lagrangians makes its tuples (rows of 2n^2
-# int64, 4096 rows at (3,4)) and _cover_masks its bit tables (rows of p^2n
-# bytes, 159 at (3,4), 2 at (5,4)), so neither holds a second copy of the
-# list; verify_spread holds one block of masks beside its running union
+# int64, 4096 rows at (3,4)) and _cover_masks its masks (a p^n x 2n int64
+# member product and a packed p^2n-bit row each, 174 rows at (3,4), 11 at
+# (5,4)), so neither holds a second copy of the list; verify_spread holds one
+# block of masks beside its running union
 BATCH_BYTES = 1 << 20
 # bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
 PROOF_MEMORY_GUARD = 1 << 30
@@ -114,8 +114,8 @@ def first_bad_class(c: Complement) -> str | None:
             return f"class {idx}: rank"
         if red != rows:
             return f"class {idx}: not in canonical rref form"
-        if any(symplectic_form_vec(rows[i], rows[j], p)
-               for i in range(n) for j in range(i + 1, n)):
+        m = np.array(rows, dtype=np.int64)
+        if ((m[:, :n] @ m[:, n:].T - m[:, n:] @ m[:, :n].T) % p).any():
             return f"class {idx}: not isotropic"
     return None
 
@@ -295,20 +295,23 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
 def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> Iterator[int]:
     """Each Lagrangian's nonzero member keys as one int, bit k for key k.
 
-    The member keys of a batch of Lagrangians come from one product, with as
-    many per batch as BATCH_BYTES holds bit-table rows of p^2n bytes; the
-    masks are yielded in order, one batch at a time.
+    The member keys of a batch of Lagrangians come from one product, and
+    their bits are OR-ed straight into packed rows of p^2n bits; a batch takes
+    as many Lagrangians as BATCH_BYTES holds of their int64 products and
+    packed rows. The masks are yielded in order, one batch at a time.
     """
     p, n = params.p, params.n
     powers = p ** np.arange(2 * n, dtype=np.int64)
-    rows = max(1, BATCH_BYTES // p ** (2 * n))
+    width = (p ** (2 * n) + 7) // 8
+    rows = max(1, BATCH_BYTES // (p ** n * 2 * n * 8 + width))
     for lo in range(0, len(lagrangians), rows):
         gens = np.array(lagrangians[lo:lo + rows], dtype=np.int64)
         keys = (lex_digits(p, n) @ gens) % p @ powers
-        bits = np.zeros((len(gens), p ** (2 * n)), dtype=bool)
-        np.put_along_axis(bits, keys, True, axis=1)
-        bits[:, 0] = False  # the zero vector is in every class
-        for row in np.packbits(bits, axis=1, bitorder="little"):
+        packed = np.zeros((len(gens), width), dtype=np.uint8)
+        np.bitwise_or.at(packed, (np.arange(len(gens))[:, None], keys >> 3),
+                         (1 << (keys & 7)).astype(np.uint8))
+        packed[:, 0] &= 0xFE  # the zero vector is in every class
+        for row in packed:
             yield int.from_bytes(row.tobytes(), "little")
 
 

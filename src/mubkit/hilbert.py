@@ -4,10 +4,13 @@ Operators are generalized permutation matrices, so group elements are carried
 exactly as (permutation, amplitude vector) pairs and no dense operator or
 projector is formed. An eigenbasis is built with whole-array numpy steps: the
 amplitudes of all p^n group elements come from folding in one generator at a
-time, and every projector column from one gather and one scatter. The basis is
-proved by the generator eigen-equations. Memory stays O(d^2). For p = 2 each
-site factor X^x Z^z carries the phase i^(x z), which makes every group element
-square to the identity; for odd p the plain products already have order p.
+time, and every projector column from blocked gathers and one scatter, its
+rows read off the Z_p^n addition table. The basis is proved by the generator
+eigen-equations. Overlaps take one matrix product per pair and reduce it to
+its largest and smallest entry; purities take one batched product per qupit
+over a block of columns. Memory stays O(d^2). For p = 2 each site factor
+X^x Z^z carries the phase i^(x z), which makes every group element square to
+the identity; for odd p the plain products already have order p.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .zplinalg import SystemParams
 
 TOL = 1e-9
 _TIE = 1e-12
+# bytes of d-entry complex rows that eigenbasis, eigenvalue_deviation and
+# qupit_purities take at a time
+_BLOCK_BYTES = 1 << 17
 
 
 def _omega(p: int) -> complex:
@@ -51,13 +57,22 @@ def _roots(p: int) -> np.ndarray:
 
 def _shift_rows(p: int, n: int, shifts) -> np.ndarray:
     """Row j sends each state index to the index of that state plus state
-    shifts[j], digit-wise mod p; one row of d entries per shift."""
+    shifts[j], digit-wise mod p; one row of d entries per shift, read off a
+    shifts x d x n digit array, so meant for a few shifts."""
     digits = lex_digits(p, n)
-    rows = np.zeros((len(shifts), p ** n), dtype=np.int64)
-    for i in range(n):
-        rows *= p
-        rows += (digits[:, i] + digits[shifts, i][:, None]) % p
-    return rows
+    return np.ravel_multi_index(np.moveaxis((digits + digits[shifts][:, None]) % p, -1, 0),
+                                (p,) * n)
+
+
+def _addition_table(p: int, n: int) -> np.ndarray:
+    """Entry (a, b) is the index of state a plus state b, digit-wise mod p: the
+    p x p table (i + j) % p widened one digit at a time; d x d."""
+    step = (np.arange(p)[:, None] + np.arange(p)) % p
+    table = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(n):
+        table = (table[:, None, :, None] * p + step[None, :, None, :]).reshape(
+            len(table) * p, -1)
+    return table
 
 
 def _generator(params: SystemParams, row) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +107,10 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     x-block of the generator matrix; elements that share a shift form a coset
     of the zero-shift subgroup and land on the same row of P(k) e_s, so each
     column is the sum over cosets of weighted amplitudes, written with one
-    scatter. No array larger than d x d is formed, so memory stays O(d^2).
+    scatter. The diagonal that picks s_k needs only the zero-shift weights;
+    the amplitudes of P(k) e_(s_k) are gathered _BLOCK_BYTES at a time, and
+    coset u's row in column k is entry [shift_u, s_k] of the addition table.
+    No array larger than d x d is formed, so memory stays O(d^2).
 
     With check set, every column is tested against all n generator
     eigen-equations G_i v_k = omega^(k_i) v_k, and ProjectorNotRankOneError is
@@ -116,21 +134,27 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     shift = np.ravel_multi_index(xs.T, (p,) * n)
     order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
     c = int(np.count_nonzero(shift == 0))
-    ph = digits @ digits[order].T
+    weights = _roots(p).conj() / d  # weights[x] = omega^-x / d
+    ph = digits @ digits[order[:c]].T
     ph %= p
-    w = (_roots(p).conj() / d)[ph]  # w[k, u] = omega^(-e_k.e_t) / d, t = order[u]
-    del ph
-    diag = (w[:, :c] @ amp[order[:c]]).real  # diag[k, s] = P(k)[s, s]
+    diag = (weights[ph] @ amp[order[:c]]).real  # diag[k, s] = P(k)[s, s]
     s = np.argmax(diag >= diag.max(axis=1, keepdims=True) - _TIE, axis=1)
     del diag
-    w *= amp[order[:, None], s].T  # term t of P(k) e_(s_k)
+    ph = digits @ digits[order].T
+    ph %= p
+    w = weights[ph]  # w[k, u] = omega^(-e_k.e_t) / d, t = order[u]
+    del ph
+    step = max(1, _BLOCK_BYTES // (16 * d))
+    for lo in range(0, d, step):  # term t of P(k) e_(s_k)
+        w[:, lo:lo + step] *= amp[order[lo:lo + step, None], s].T
     del amp
     sums = w.reshape(d, d // c, c).sum(axis=2)  # one entry per coset
     del w
-    rows = _shift_rows(p, n, shift[order[::c]])
+    rows = _addition_table(p, n)[shift[order[::c], None], s]  # coset u's row in column k
     k = np.arange(d)
     vecs = np.zeros((d, d), dtype=complex)
-    vecs[rows[:, s], k] = sums.T
+    vecs[rows, k] = sums.T
+    del rows, sums
     norm = np.linalg.norm(vecs, axis=0)
     if norm.min() < 1e-6:
         raise ProjectorNotRankOneError("projector column is numerically zero")
@@ -149,17 +173,20 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
 
 def eigenvalue_deviation(basis: MubBasis) -> float:
     """Max deviation of (phased) G_i v_k from omega^(k_i) v_k over all
-    (column, generator) pairs; each generator acts on the whole basis at once."""
+    (column, generator) pairs. G_i sends row r of V to row perm[r], so row
+    perm[r] of G_i V - V diag(omega^(k_i)) is amp[r] V[r] - V[perm[r]] omega^(k_i);
+    each generator takes the rows _BLOCK_BYTES at a time."""
     params = basis.group.params
     scale = _roots(params.p)[lex_digits(params.p, params.n)]  # (k, i): omega^(k_i)
     v = basis.vectors
-    gv = np.empty_like(v)
+    step = max(1, _BLOCK_BYTES // (16 * params.dim))
     worst = 0.0
     for i, row in enumerate(basis.group.matrix):
         perm, amp = _generator(params, row)
-        gv[perm] = amp[:, None] * v
-        gv -= v * scale[:, i]
-        worst = max(worst, float(np.abs(gv).max()))
+        for lo in range(0, params.dim, step):
+            gv = amp[lo:lo + step, None] * v[lo:lo + step]
+            gv -= v[perm[lo:lo + step]] * scale[:, i]
+            worst = max(worst, float(np.abs(gv).max()))
     return worst
 
 
@@ -178,28 +205,33 @@ def purity(rho: np.ndarray, p: int) -> float:
 
 
 def qupit_purities(vectors: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Purity of every qupit in every column; shape (columns, n)."""
+    """Purity of every qupit in every column; shape (columns, n).
+
+    Columns are taken _BLOCK_BYTES at a time; for each qupit the block is laid
+    out as one p x (d / p) matrix M per column, and one batched matmul gives
+    every reduced density matrix M M^H."""
     p, n = params.p, params.n
-    cols = vectors.shape[1]
+    d, cols = vectors.shape
     out = np.empty((cols, n))
-    v = np.ascontiguousarray(vectors.T)  # (cols, d)
-    for i in range(n):
-        left = p ** i
-        right = p ** (n - i - 1)
-        m = v.reshape(cols, left, p, right)
-        rho = np.einsum("caib,cajb->cij", m, m.conj())
-        tr2 = np.einsum("cij,cij->c", rho, rho.conj()).real
-        out[:, i] = (p * tr2 - 1.0) / (p - 1.0)
+    step = max(1, _BLOCK_BYTES // (16 * d))
+    for lo in range(0, cols, step):
+        v = vectors[:, lo:lo + step].T  # (c, d), a view
+        c = len(v)
+        for i in range(n):
+            m = v.reshape(c, p ** i, p, -1).swapaxes(1, 2).reshape(c, p, -1)
+            rho = m @ m.conj().swapaxes(1, 2)
+            tr2 = np.einsum("cij,cij->c", rho, rho.conj()).real
+            out[lo:lo + c, i] = (p * tr2 - 1.0) / (p - 1.0)
     return out
 
 
 def mub_check(a: MubBasis, b: MubBasis) -> float:
     """Max deviation of squared cross overlaps from 1/d; the two bases must
-    come from different groups."""
+    come from different groups. Squaring and subtracting 1/d are monotone
+    under rounding, so the largest and smallest overlap give the worst one."""
     if a.group.matrix == b.group.matrix:
         raise SameGroupError("both bases diagonalize the same compatibility group")
     d = a.group.params.dim
     m = np.abs(a.vectors.conj().T @ b.vectors)
-    m *= m
-    m -= 1.0 / d
-    return float(np.abs(m, out=m).max())
+    hi, lo = float(m.max()), float(m.min())
+    return max(abs(hi * hi - 1.0 / d), abs(lo * lo - 1.0 / d))

@@ -5,6 +5,7 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 
 import mubkit.cli
@@ -15,6 +16,7 @@ from mubkit.complement import (MEMBER_TABLE_GUARD, PROOF_MEMORY_GUARD,
                                complement_distribution, dumps, field_spread,
                                from_json_dict, search_spreads, verify_spread)
 from mubkit.errors import ProjectorNotRankOneError
+from mubkit.hilbert import MubBasis
 from mubkit.zplinalg import SystemParams
 
 
@@ -131,6 +133,24 @@ def test_verify_stops_at_failing_basis(capsys, tmp_path, monkeypatch, extra, nam
     fails = [line for line in out.splitlines() if line.startswith("FAIL  ")]
     assert fails == [f"FAIL  {name}: basis 3: boom"]
     assert "hilbert-overlaps" not in out and out.endswith("FAILED  5/6 checks\n")
+
+
+def test_verify_purities_measure_distance_to_zero_or_one(capsys, tmp_path, monkeypatch):
+    # every column scaled by sqrt 2: qubit purities read 7 (pure) and 3
+    # (entangled), whole numbers but not 0 or 1, so the check must fail
+    path = tmp_path / "c22.json"
+    run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
+    real = mubkit.cli.eigenbasis
+
+    def scaled(group, check=True):
+        basis = real(group, check)
+        return MubBasis(basis.group, basis.vectors * np.sqrt(2))
+    monkeypatch.setattr(mubkit.cli, "eigenbasis", scaled)
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if "hilbert-purities" in line]
+    assert line == ("FAIL  hilbert-purities: max distance of any qupit purity "
+                    "from {0,1} = 6.000e+00")
 
 
 def test_verify_canonicalises_swapped_generators(capsys, tmp_path):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mubkit.complement
@@ -22,6 +23,7 @@ from mubkit.complement import (
     dumps,
     enumerate_lagrangians,
     field_spread,
+    first_bad_class,
     from_json_dict,
     lagrangian_count,
     purity_census,
@@ -30,8 +32,9 @@ from mubkit.complement import (
     verify_spread,
 )
 from mubkit.errors import CensusViolationError, GuardExceededError, MubkitError
-from mubkit.groups import CompatGroup
-from mubkit.zplinalg import SystemParams, rank, solve_affine
+from mubkit.groups import CompatGroup, lex_digits
+from mubkit.pauli import symplectic_form_vec
+from mubkit.zplinalg import SystemParams, rank, rref, solve_affine
 
 FIELD_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 9),
                (3, 2), (3, 3), (3, 4), (3, 5),
@@ -196,6 +199,12 @@ def cover_case(name, p, n):
     return Complement(params, classes)
 
 
+def mask_row_bytes(p, n):
+    """Bytes _cover_masks counts per Lagrangian in a batch: its p^n x 2n
+    int64 member product and its packed p^2n-bit row."""
+    return p ** n * 2 * n * 8 + (p ** (2 * n) + 7) // 8
+
+
 COVER_CASES = [(name, p, n) for name in ("field", "missing", "duplicate", "rank")
                for p, n in ((2, 2), (2, 3), (3, 2))] + [("one-shared", 2, 2), ("one-shared", 2, 3)]
 
@@ -212,18 +221,18 @@ def test_verify_cover_matches_oracle(monkeypatch, name, p, n):
         assert want[0].detail.endswith(f" share vector key {key}")
     picked = ("pairwise disjoint", "exact cover")
     assert [c for c in verify_spread(comp).checks if c.name in picked] == want
-    # two bit-table rows per batch: verify then reads its masks in several batches
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * p ** (2 * n))
+    # two mask rows per batch: verify then reads its masks in several batches
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * mask_row_bytes(p, n))
     assert [c for c in verify_spread(comp).checks if c.name in picked] == want
 
 
 def test_verify_memory_is_small(monkeypatch):
     # verify holds one running union and one batch of masks, not a mask per
-    # class: two bit-table rows per batch against 126 rows of p^2n bytes
+    # class: two mask rows per batch against 126 rows of p^2n bytes
     params = SystemParams(5, 3)
     comp = field_spread(params)
     tables = len(comp.classes) * params.p ** (2 * params.n)
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * params.p ** (2 * params.n))
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * mask_row_bytes(5, 3))
     verify_spread(Complement(params, comp.classes[:1]))  # warm lex_digits
     tracemalloc.start()
     try:
@@ -233,6 +242,71 @@ def test_verify_memory_is_small(monkeypatch):
         tracemalloc.stop()
     assert report.ok
     assert peak < tables / 10
+
+
+def test_verify_one_row_batch_memory(monkeypatch):
+    # one Lagrangian per batch: verify holds its int64 member product (6 kB
+    # at (5,3)) and one packed p^2n-bit row (2 kB) beside the running union,
+    # about 23 kB in all; a p^2n-byte bool row (15.6 kB) packed afterwards
+    # took the peak to 41.8 kB
+    params = SystemParams(5, 3)
+    comp = field_spread(params)
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 1)
+    verify_spread(Complement(params, comp.classes[:1]))  # warm lex_digits
+    tracemalloc.start()
+    try:
+        report = verify_spread(comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 32_000
+
+
+def _first_bad_class_oracle(c):
+    """The earlier class check: the isotropy test reads the symplectic form
+    of each pair of generators, one call per pair."""
+    p, n = c.params.p, c.params.n
+    for idx, cls in enumerate(c.classes):
+        rows = cls.matrix
+        red, pivots = rref(rows, p)
+        if len(rows) != n or len(pivots) != n:
+            return f"class {idx}: rank"
+        if red != rows:
+            return f"class {idx}: not in canonical rref form"
+        if any(symplectic_form_vec(rows[i], rows[j], p)
+               for i in range(n) for j in range(i + 1, n)):
+            return f"class {idx}: not isotropic"
+    return None
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 2), (2, 4), (3, 3)])
+def test_first_bad_class_matches_pairwise_oracle(p, n):
+    # graph classes (I | S) are in rref form and isotropic exactly when S is
+    # symmetric; random rows cover the rank and rref verdicts
+    params = SystemParams(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    verdicts = set()
+    for _ in range(60):
+        classes = list(field_spread(params).classes[:3])
+        for _ in range(3):
+            s = rng.integers(0, p, size=(n, n))
+            if rng.random() < 0.5:
+                s = np.triu(s) + np.triu(s, 1).T
+            m = np.hstack([np.eye(n, dtype=np.int64), s]) if rng.random() < 0.7 else \
+                rng.integers(0, p, size=(n, 2 * n))
+            classes.insert(int(rng.integers(0, len(classes) + 1)),
+                           CompatGroup(params, tuple(map(tuple, m.tolist()))))
+        comp = Complement(params, tuple(classes))
+        want = _first_bad_class_oracle(comp)
+        assert first_bad_class(comp) == want
+        verdicts.add(None if want is None else want.split(": ")[1])
+        for k in range(len(classes)):
+            one = Complement(params, (classes[k],))
+            assert first_bad_class(one) == _first_bad_class_oracle(one)
+    # a line is always isotropic
+    assert ("not isotropic" in verdicts) is (n > 1)
+
 
 
 def test_distribution_n2_rigidity():
@@ -378,15 +452,42 @@ def test_enumerated_cells_have_q_binomial_sizes(p, n):
 @pytest.mark.parametrize("batch", [4096, 100, 1])
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
 def test_cover_masks_match_member_keys(monkeypatch, p, n, batch):
-    # a bit-table row is p^2n bytes; batches of 100 rows end inside the list
-    # at each size: 135, 1120 and 2295
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch * p ** (2 * n))
+    # batches of 100 rows end inside the list at each size: 135, 1120 and 2295
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch * mask_row_bytes(p, n))
     params = SystemParams(p, n)
     lagrangians = enumerate_lagrangians(params)
     want = [sum(1 << k for k in CompatGroup(params, m).member_keys if k)
             for m in lagrangians]
     assert list(_cover_masks(params, lagrangians)) == want
 
+
+
+def _cover_masks_oracle(params, lagrangians, rows):
+    """The earlier mask construction: a p^2n-byte bool row per Lagrangian, packed
+    into bits afterwards, rows Lagrangians per batch."""
+    p, n = params.p, params.n
+    powers = p ** np.arange(2 * n, dtype=np.int64)
+    out = []
+    for lo in range(0, len(lagrangians), rows):
+        gens = np.array(lagrangians[lo:lo + rows], dtype=np.int64)
+        keys = (lex_digits(p, n) @ gens) % p @ powers
+        bits = np.zeros((len(gens), p ** (2 * n)), dtype=bool)
+        np.put_along_axis(bits, keys, True, axis=1)
+        bits[:, 0] = False
+        for row in np.packbits(bits, axis=1, bitorder="little"):
+            out.append(int.from_bytes(row.tobytes(), "little"))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("batch", [1 << 20, 1000, 1])
+def test_cover_masks_match_packbits_oracle(monkeypatch, p, n, batch):
+    # the packed rows are written bit by bit; the masks must be the same ints,
+    # whatever the batch size (batch bytes 1: one Lagrangian per batch)
+    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch)
+    params = SystemParams(p, n)
+    lagrangians = enumerate_lagrangians(params)
+    assert list(_cover_masks(params, lagrangians)) == _cover_masks_oracle(params, lagrangians, 64)
 
 # ---------------------------------------------------------------------------
 # spread search
@@ -498,6 +599,29 @@ def test_search_first_hit_3_4_peak_memory():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert int(out) < 260 * 1024  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("p,n,bound_mb", [(2, 8, 72), (3, 4, 72)], ids=["sampled-2-8", "full-3-4"])
+def test_verify_peak_memory(tmp_path, p, n, bound_mb):
+    """`verify --in` on a field spread, in a fresh process: (2,8) proves 6
+    sampled bases of d = 256, (3,4) all 82 bases of d = 81 and their 3321
+    pairs. Its peak resident memory (the child's own VmHWM) stays under the
+    bound, near 43 MB and 40 MB on a 2-vCPU box with numpy 2.4; a full proof
+    at d = 256 would hold 257 MB of eigenvectors."""
+    path = tmp_path / f"f{p}{n}.json"
+    path.write_text(dumps(field_spread(SystemParams(p, n))))
+    code = ("import contextlib, io\n"
+            "from mubkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['verify', '--in', {str(path)!r}]) == 0\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))\n")
+    src = str(Path(mubkit.complement.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert int(out) < bound_mb * 1024  # VmHWM is in kB
 
 
 def test_search_guard():

@@ -6,12 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+import mubkit.hilbert
 from mubkit.complement import enumerate_lagrangians, field_spread
 from mubkit.errors import ProjectorNotRankOneError, SameGroupError
 from mubkit.groups import CompatGroup, group_from_generators, lex_digits, qupit_factor_distribution
 from mubkit.hilbert import (
     _TIE,
     MubBasis,
+    _addition_table,
     _generator,
     _omega,
     _roots,
@@ -118,6 +120,88 @@ def test_shift_rows_match_ravel_oracle(p, n):
     assert np.array_equal(_shift_rows(p, n, order), want[order])
     for t in range(p ** n):
         assert np.array_equal(_shift_rows(p, n, [t])[0], want[t])
+
+
+def _shift_rows_oracle(p, n, shifts):
+    """The earlier coset rows: row j sends each state index to the
+    index of that state plus state shifts[j], one digit at a time."""
+    digits = lex_digits(p, n)
+    rows = np.zeros((len(shifts), p ** n), dtype=np.int64)
+    for i in range(n):
+        rows *= p
+        rows += (digits[:, i] + digits[shifts, i][:, None]) % p
+    return rows
+
+
+# d = 243 and d = 256 are the sampled proofs' sizes
+DIFF_CASES = [(2, 1), (2, 3), (3, 2), (5, 2), (7, 2), (3, 3), (2, 4), (3, 5), (2, 8)]
+
+
+@pytest.mark.parametrize("p,n", DIFF_CASES)
+def test_addition_table_rows_match_shift_rows_oracle(p, n):
+    # eigenbasis reads coset rows off the addition table at [shifts, s]; the
+    # earlier code built every shift's row and gathered columns s from it
+    d = p ** n
+    rng = np.random.default_rng(10 * p + n)
+    shifts = rng.permutation(d)
+    s = rng.integers(0, d, size=d)
+    table = _addition_table(p, n)
+    assert table.shape == (d, d)
+    assert np.array_equal(table[shifts[:, None], s], _shift_rows_oracle(p, n, shifts)[:, s])
+    assert np.array_equal(table, _shift_rows_oracle(p, n, np.arange(d)))
+
+
+def _eigenbasis_oracle(group):
+    """The earlier eigenbasis body (no check): one d x d weight table, the
+    diagonal from its zero-shift columns, one whole-array gather, and coset
+    rows from the digit loop."""
+    params = group.params
+    p, n, d = params.p, params.n, params.dim
+    digits = lex_digits(p, n)
+    amp = np.ones((1, d), dtype=complex)
+    for row in group.matrix:
+        perm, g = _generator(params, row)
+        amp = np.repeat(amp[:, None], p, axis=1)
+        for j in range(1, p):
+            np.multiply(amp[:, j - 1, perm], g, out=amp[:, j])
+        amp = amp.reshape(-1, d)
+    xs = (digits @ np.array(group.matrix, dtype=np.int64)[:, :n]) % p
+    shift = np.ravel_multi_index(xs.T, (p,) * n)
+    order = np.argsort(shift, kind="stable")
+    c = int(np.count_nonzero(shift == 0))
+    w = (_roots(p).conj() / d)[(digits @ digits[order].T) % p]
+    diag = (w[:, :c] @ amp[order[:c]]).real
+    s = np.argmax(diag >= diag.max(axis=1, keepdims=True) - _TIE, axis=1)
+    w *= amp[order[:, None], s].T
+    sums = w.reshape(d, d // c, c).sum(axis=2)
+    rows = _shift_rows_oracle(p, n, shift[order[::c]])
+    k = np.arange(d)
+    vecs = np.zeros((d, d), dtype=complex)
+    vecs[rows[:, s], k] = sums.T
+    vecs /= np.linalg.norm(vecs, axis=0)
+    mags = np.abs(vecs)
+    j = np.argmax(mags >= mags.max(axis=0) - _TIE, axis=0)
+    vecs *= (vecs[j, k] / mags[j, k]).conj()
+    return vecs
+
+
+def _sample_classes(p, n, count=4):
+    classes = field_spread(SystemParams(p, n)).classes
+    picks = np.random.default_rng(p * 100 + n).choice(len(classes), min(count, len(classes)),
+                                                      replace=False)
+    return [classes[i] for i in sorted(picks)]
+
+
+@pytest.mark.parametrize("p,n", DIFF_CASES)
+def test_eigenbasis_bit_identical_to_earlier_construction(monkeypatch, p, n):
+    # the blocked gather and the addition-table rows change no bit of any
+    # column; a block of one row splits the gather as finely as it goes
+    for cls in _sample_classes(p, n):
+        want = _eigenbasis_oracle(cls)
+        assert np.array_equal(eigenbasis(cls, check=False).vectors, want)
+        monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", 1)
+        assert np.array_equal(eigenbasis(cls, check=False).vectors, want)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (5, 1)])
@@ -358,6 +442,36 @@ def test_trimmed_loops_bit_identical_to_oracles():
     assert mub_check(bent, bases[0]) == _mub_check_oracle(bent, bases[0]) > 1e-7
 
 
+@pytest.mark.parametrize("p,n", DIFF_CASES)
+def test_mub_check_bit_identical_to_elementwise_oracle(p, n):
+    # the worst deviation from the largest and smallest overlap alone equals
+    # the elementwise maximum exactly, on unbiased pairs and on a noisy basis
+    bases = [eigenbasis(cls, check=False) for cls in _sample_classes(p, n)]
+    for i, a in enumerate(bases):
+        for b in bases[i + 1:]:
+            assert mub_check(a, b) == _mub_check_oracle(a, b) < TOL
+    rng = np.random.default_rng(p + n)
+    v = bases[0].vectors
+    bent = MubBasis(bases[0].group, v + 1e-6 * rng.standard_normal(v.shape))
+    assert mub_check(bent, bases[1]) == _mub_check_oracle(bent, bases[1]) > 1e-8
+
+
+@pytest.mark.parametrize("p,n", DIFF_CASES)
+def test_deviation_blocks_bit_identical_to_oracle(monkeypatch, p, n):
+    # rows taken a block at a time, by default and one row at a time, give the
+    # whole-basis loop's maximum exactly, on proved bases and on a noisy one
+    bases = [eigenbasis(cls, check=False) for cls in _sample_classes(p, n)]
+    v = bases[0].vectors
+    bases.append(MubBasis(bases[0].group,
+                          v + 1e-6 * np.random.default_rng(p + n).standard_normal(v.shape)))
+    for block in (None, 1):
+        if block is not None:
+            monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+        for basis in bases:
+            assert eigenvalue_deviation(basis) == _deviation_oracle(basis)
+    assert _deviation_oracle(bases[-1]) > 1e-8
+
+
 def test_standard_basis_overlap_value():
     # the computational basis against a conjugate basis: all overlaps 1/d
     params = SystemParams(2, 1)
@@ -381,6 +495,36 @@ def test_purities_binary_and_cross_layer(p, n):
             kind = qupit_factor_distribution(cls, q).kind
             want = 1.0 if kind == "pure" else 0.0
             assert np.allclose(pur[:, q], want, atol=TOL)
+
+
+def _purities_einsum_oracle(vectors, params):
+    """The earlier qupit_purities: one einsum per qupit over all columns."""
+    p, n = params.p, params.n
+    cols = vectors.shape[1]
+    out = np.empty((cols, n))
+    v = np.ascontiguousarray(vectors.T)
+    for i in range(n):
+        m = v.reshape(cols, p ** i, p, p ** (n - i - 1))
+        rho = np.einsum("caib,cajb->cij", m, m.conj())
+        tr2 = np.einsum("cij,cij->c", rho, rho.conj()).real
+        out[:, i] = (p * tr2 - 1.0) / (p - 1.0)
+    return out
+
+
+@pytest.mark.parametrize("p,n", DIFF_CASES)
+def test_purities_match_einsum_oracle(monkeypatch, p, n):
+    # the default block, and blocks of one and of three columns
+    params = SystemParams(p, n)
+    rng = np.random.default_rng(p * n)
+    for cls in _sample_classes(p, n):
+        v = eigenbasis(cls, check=False).vectors
+        noisy = v + 1e-3 * rng.standard_normal(v.shape)
+        for vecs in (v, noisy):
+            want = _purities_einsum_oracle(vecs, params)
+            for block in (None, 16 * params.dim, 3 * 16 * params.dim):
+                if block is not None:
+                    monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+                assert np.abs(qupit_purities(vecs, params) - want).max() < 1e-12
 
 
 def test_reduced_density_agrees_with_qupit_purities():
