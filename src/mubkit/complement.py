@@ -30,7 +30,8 @@ SEARCH_NODE_GUARD = 10_000_000
 # int64, 4096 rows at (3,4)) and _cover_masks its masks (a p^n x 2n int64
 # member product and a packed p^2n-bit row each, 174 rows at (3,4), 11 at
 # (5,4)), so neither holds a second copy of the list; verify_spread holds one
-# block of masks beside its running union
+# block of masks beside its running union, and the class checks one int64
+# stack of n x 2n generator matrices in an eighth of it
 BATCH_BYTES = 1 << 20
 # bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
 PROOF_MEMORY_GUARD = 1 << 30
@@ -102,21 +103,64 @@ class SpreadReport:
         return all(c.passed for c in self.checks)
 
 
+def _class_stacks(params: SystemParams, matrices: list[Mat]) -> Iterator[tuple[int, np.ndarray]]:
+    """The generator matrices as int64 stacks, each with the index of its
+    first matrix. A matrix without n rows is stacked as zeros, which every
+    stacked test sends to the per-class code.
+
+    A stack takes an eighth of BATCH_BYTES (128 KiB): the tests on it make
+    products of about 1.5 times its bytes, and a 263 kB (2,8) stack with its
+    products left enough freed heap resident to raise the peak RSS of a
+    search-prove benchmark pass by 0.3 MB."""
+    n = params.n
+    zero = ((0,) * (2 * n),) * n
+    step = max(1, BATCH_BYTES // 8 // (2 * n * n * 8))
+    for lo in range(0, len(matrices), step):
+        yield lo, np.array([m if len(m) == n else zero for m in matrices[lo:lo + step]],
+                           dtype=np.int64)
+
+
+def _in_rref(m: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of the stack rref leaves unchanged at full rank: entries
+    in [0, p), leading entries in rising columns, and each leading column a
+    unit column, so no row is zero."""
+    k, rows, _ = m.shape
+    lead = (m != 0).argmax(axis=2)  # column 0 for a zero row, whose pivot reads 0
+    pivots = np.take_along_axis(m, np.broadcast_to(lead[:, None], (k, rows, rows)), axis=2)
+    return (((0 <= m) & (m < p)).all(axis=(1, 2)) & (np.diff(lead, axis=1) > 0).all(axis=1)
+            & (pivots == np.eye(rows, dtype=np.int64)).all(axis=(1, 2)))
+
+
+def _class_fault(idx: int, rows: Mat, p: int, n: int) -> str | None:
+    """Why one class is not a Lagrangian in canonical rref form, if it is not."""
+    red, pivots = rref(rows, p)
+    if len(rows) != n or len(pivots) != n:
+        return f"class {idx}: rank"
+    if red != rows:
+        return f"class {idx}: not in canonical rref form"
+    m = np.array(rows, dtype=np.int64)
+    if ((m[:, :n] @ m[:, n:].T - m[:, n:] @ m[:, :n].T) % p).any():
+        return f"class {idx}: not isotropic"
+    return None
+
+
 def first_bad_class(c: Complement) -> str | None:
     """The first class that is not a Lagrangian in canonical rref form, as
     "class i: rank", "class i: not in canonical rref form" or
-    "class i: not isotropic"; None when every class is one."""
+    "class i: not isotropic"; None when every class is one. Form (and with
+    it rank n) and isotropy are tested on whole class stacks; only a class
+    that fails there is reduced on its own, to word the verdict."""
     p, n = c.params.p, c.params.n
-    for idx, cls in enumerate(c.classes):
-        rows = cls.matrix
-        red, pivots = rref(rows, p)
-        if len(rows) != n or len(pivots) != n:
-            return f"class {idx}: rank"
-        if red != rows:
-            return f"class {idx}: not in canonical rref form"
-        m = np.array(rows, dtype=np.int64)
-        if ((m[:, :n] @ m[:, n:].T - m[:, n:] @ m[:, :n].T) % p).any():
-            return f"class {idx}: not isotropic"
+    matrices = [cls.matrix for cls in c.classes]
+    for lo, m in _class_stacks(c.params, matrices):
+        x, z = m[:, :, :n], m[:, :, n:]
+        form = x @ z.swapaxes(1, 2) - z @ x.swapaxes(1, 2)
+        form %= p
+        good = _in_rref(m, p) & ~form.any(axis=(1, 2))
+        for idx in lo + np.flatnonzero(~good):
+            fault = _class_fault(int(idx), matrices[idx], p, n)
+            if fault:
+                return fault
     return None
 
 
@@ -173,22 +217,36 @@ class PurityCensus:
 
 def purity_census(c: Complement) -> PurityCensus:
     """Count pure and entangled classes per qupit and check the census:
-    each qupit pure in exactly p + 1 classes, entangled in p^n - p. The
-    identity factor tally then comes to p^(2n-2) - 1 per qupit, since a
-    class's identity count is its factor multiplicity."""
+    each qupit pure in exactly p + 1 classes, entangled in p^n - p.
+
+    A qupit's kind is the rank of its generator columns (x_i | z_i) mod p
+    (paper rule 1), read on whole class stacks from the 2 x 2 minors against
+    the first nonzero row: rank 1 (pure) when they all vanish, rank 2
+    (entangled) otherwise. A column pair that reads as rank 0 goes to
+    qupit_factor_distribution, which raises on it. Each class's identity
+    factor count is its factor multiplicity, p^(n-1) pure and p^(n-2)
+    entangled, so once the census holds, the non-identity members with an
+    identity factor at a qupit number p^(2n-2) - 1 over all classes."""
     p, n = c.params.p, c.params.n
-    pure = [0] * n
-    entangled = [0] * n
-    tally = [0] * n
-    for cls in c.classes:
+    pure = np.zeros(n, dtype=np.int64)
+    entangled = np.zeros(n, dtype=np.int64)
+    for lo, m in _class_stacks(c.params, [cls.matrix for cls in c.classes]):
+        m %= p
+        rows = np.arange(len(m))
+        ent = np.empty((len(m), n), dtype=bool)
+        empty = np.empty((len(m), n), dtype=bool)
         for i in range(n):
-            dist = qupit_factor_distribution(cls, i)
-            if dist.kind == "pure":
-                pure[i] += 1
-            else:
-                entangled[i] += 1
-            # every local factor, the identity too, shows up multiplicity times
-            tally[i] += dist.multiplicity - 1  # the group identity does not count
+            x, z = m[:, :, i], m[:, :, n + i]
+            first = ((x != 0) | (z != 0)).argmax(axis=1)
+            a, b = x[rows, first], z[rows, first]
+            empty[:, i] = (a == 0) & (b == 0)
+            minors = a[:, None] * z - b[:, None] * x
+            minors %= p
+            ent[:, i] = minors.any(axis=1)
+        for k, i in np.argwhere(empty).tolist():
+            ent[k, i] = qupit_factor_distribution(c.classes[lo + k], i).kind == "entangled"
+        entangled += ent.sum(axis=0)
+        pure += len(m) - ent.sum(axis=0)
     want_pure = p + 1
     want_ent = p ** n - p
     for i in range(n):
@@ -196,7 +254,7 @@ def purity_census(c: Complement) -> PurityCensus:
             raise CensusViolationError(
                 f"qupit {i}: pure in {pure[i]} classes, entangled in {entangled[i]}, "
                 f"expected {want_pure} and {want_ent}")
-    return PurityCensus(tuple(pure), tuple(entangled), tuple(tally))
+    return PurityCensus((want_pure,) * n, (want_ent,) * n, (p ** (2 * n - 2) - 1,) * n)
 
 
 def average_purity(c: Complement, qupit: int) -> Fraction:
@@ -392,12 +450,17 @@ def from_json_dict(data: dict) -> Complement:
                 rows.append(tuple(x) + tuple(z))
             if len(rows) != params.n:
                 raise ValueError("wrong generator count")
-            # a full-rank class is stored in its canonical rref form; a
-            # rank-deficient one is kept as given for verify_spread to report
-            red, pivots = rref(rows, params.p)
-            matrices.append(red if len(pivots) == params.n else tuple(rows))
+            matrices.append(tuple(rows))
     except (KeyError, TypeError, ValueError) as exc:
         raise MubkitError(f"malformed complement data: {exc}") from exc
+    # a full-rank class is stored in its canonical rref form; a rank-deficient
+    # one is kept as given for verify_spread to report. Only classes that the
+    # stacked form test rejects are reduced.
+    for lo, m in _class_stacks(params, matrices):
+        for idx in lo + np.flatnonzero(~_in_rref(m, params.p)):
+            red, pivots = rref(matrices[idx], params.p)
+            if len(pivots) == params.n:
+                matrices[idx] = red
     return Complement(params, tuple(CompatGroup(params, m) for m in matrices))
 
 

@@ -2,15 +2,17 @@
 
 Operators are generalized permutation matrices, so group elements are carried
 exactly as (permutation, amplitude vector) pairs and no dense operator or
-projector is formed. An eigenbasis is built with whole-array numpy steps: the
-amplitudes of all p^n group elements come from folding in one generator at a
-time, and every projector column from blocked gathers and one scatter, its
-rows read off the Z_p^n addition table. The basis is proved by the generator
-eigen-equations. Overlaps take one matrix product per pair and reduce it to
-its largest and smallest entry; purities take one batched product per qupit
-over a block of columns. Memory stays O(d^2). For p = 2 each site factor
-X^x Z^z carries the phase i^(x z), which makes every group element square to
-the identity; for odd p the plain products already have order p.
+projector is formed. Each basis makes one generator table, the n permutations
+and n amplitude rows of its generators in whole-array steps, and uses it both
+to build and to prove the basis: the amplitudes of all p^n group elements come
+from folding in one table row at a time, every projector column from blocked
+gathers and one scatter, its rows read off the Z_p^n addition table, and the
+proof from the generator eigen-equations on the same table. Overlaps take one
+matrix product per pair and reduce it to its largest and smallest entry;
+purities take one batched product per qupit over a block of columns. Memory
+stays O(d^2). For p = 2 each site factor X^x Z^z carries the phase i^(x z),
+which makes every group element square to the identity; for odd p the plain
+products already have order p.
 """
 
 from __future__ import annotations
@@ -55,15 +57,6 @@ def _roots(p: int) -> np.ndarray:
     return _omega(p) ** np.arange(p)
 
 
-def _shift_rows(p: int, n: int, shifts) -> np.ndarray:
-    """Row j sends each state index to the index of that state plus state
-    shifts[j], digit-wise mod p; one row of d entries per shift, read off a
-    shifts x d x n digit array, so meant for a few shifts."""
-    digits = lex_digits(p, n)
-    return np.ravel_multi_index(np.moveaxis((digits + digits[shifts][:, None]) % p, -1, 0),
-                                (p,) * n)
-
-
 def _addition_table(p: int, n: int) -> np.ndarray:
     """Entry (a, b) is the index of state a plus state b, digit-wise mod p: the
     p x p table (i + j) % p widened one digit at a time; d x d."""
@@ -75,15 +68,25 @@ def _addition_table(p: int, n: int) -> np.ndarray:
     return table
 
 
-def _generator(params: SystemParams, row) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, amp) of the operator with exponent row (x | z), phased for
-    p = 2: it sends |k> to amp[k] |perm[k]>."""
+def _generators(params: SystemParams, matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(perms, amps), each n x d, of the generators with exponent rows (x | z),
+    phased for p = 2: generator i sends |k> to amps[i, k] |perms[i, k]>.
+    The amplitudes omega^(z_i . k) come from one product of the z-block with
+    the digit table; perms[i] indexes state k plus state x_i, digit-wise mod
+    p, built one digit at a time so that no n x d x n array is formed (one
+    raised the peak resident memory of verify)."""
     p, n = params.p, params.n
-    x, z = row[:n], row[n:]
-    amp = _roots(p)[(lex_digits(p, n) @ np.array(z, dtype=np.int64)) % p]
+    digits = lex_digits(p, n)
+    m = np.array(matrix, dtype=np.int64)
+    x, z = m[:, :n], m[:, n:]
+    amps = _roots(p)[(z @ digits.T) % p]
     if p == 2:
-        amp = amp * 1j ** int(sum(a * b for a, b in zip(x, z)))
-    return _shift_rows(p, n, [int(np.ravel_multi_index(x, (p,) * n))])[0], amp
+        amps *= np.array([1j ** int(s) for s in (x * z).sum(axis=1)])[:, None]
+    perms = np.zeros((len(m), params.dim), dtype=np.int64)
+    for j in range(n):
+        perms *= p
+        perms += (digits[:, j] + x[:, j, None]) % p
+    return perms, amps
 
 
 @dataclass
@@ -101,9 +104,10 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     (the first within _TIE of the largest), then normalised and phased so
     that its first entry within _TIE of the largest magnitude is real.
 
-    Whole-array construction: the amplitudes of all elements
+    Whole-array construction: one generator table holds the permutation and
+    amplitude row of every generator, and the amplitudes of all elements
     G_t = G_0^e_0 ... G_(n-1)^e_(n-1), e_t = lex_digits row t, are folded
-    in one generator at a time (n (p - 1) gathers). G_t shifts by e_t times the
+    in one table row at a time (n (p - 1) gathers). G_t shifts by e_t times the
     x-block of the generator matrix; elements that share a shift form a coset
     of the zero-shift subgroup and land on the same row of P(k) e_s, so each
     column is the sum over cosets of weighted amplitudes, written with one
@@ -113,8 +117,8 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     No array larger than d x d is formed, so memory stays O(d^2).
 
     With check set, every column is tested against all n generator
-    eigen-equations G_i v_k = omega^(k_i) v_k, and ProjectorNotRankOneError is
-    raised above TOL. That proves the basis: the columns are unit vectors, the
+    eigen-equations G_i v_k = omega^(k_i) v_k, read off the same table, and
+    ProjectorNotRankOneError is raised above TOL. That proves the basis: the columns are unit vectors, the
     generators are unitary, and the d eigenvalue tuples omega^k are distinct,
     so columns with different tuples are orthogonal and V is unitary; each
     joint eigenspace then holds exactly one column, so every P(k) = v_k v_k^H
@@ -123,9 +127,9 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     params = group.params
     p, n, d = params.p, params.n, params.dim
     digits = lex_digits(p, n)
+    perms, gens = _generators(params, group.matrix)
     amp = np.ones((1, d), dtype=complex)  # G_t |s> = amp[t, s] |s + shift_t>
-    for row in group.matrix:
-        perm, g = _generator(params, row)
+    for perm, g in zip(perms, gens):
         amp = np.repeat(amp[:, None], p, axis=1)  # element t * p + j is G_t G^j
         for j in range(1, p):
             np.multiply(amp[:, j - 1, perm], g, out=amp[:, j])
@@ -162,27 +166,31 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     mags = np.abs(vecs)
     j = np.argmax(mags >= mags.max(axis=0) - _TIE, axis=0)
     vecs *= (vecs[j, k] / mags[j, k]).conj()
-    basis = MubBasis(group, vecs)
     if check:
-        dev = eigenvalue_deviation(basis)
+        dev = _deviation(params, vecs, perms, gens)
         if dev > TOL:
             raise ProjectorNotRankOneError(
                 f"eigenvectors miss the generator eigenvalues by {dev:.3g}")
-    return basis
+    return MubBasis(group, vecs)
 
 
 def eigenvalue_deviation(basis: MubBasis) -> float:
     """Max deviation of (phased) G_i v_k from omega^(k_i) v_k over all
-    (column, generator) pairs. G_i sends row r of V to row perm[r], so row
-    perm[r] of G_i V - V diag(omega^(k_i)) is amp[r] V[r] - V[perm[r]] omega^(k_i);
-    each generator takes the rows _BLOCK_BYTES at a time."""
+    (column, generator) pairs, from one generator table of the basis's group."""
     params = basis.group.params
+    return _deviation(params, basis.vectors, *_generators(params, basis.group.matrix))
+
+
+def _deviation(params: SystemParams, v: np.ndarray, perms: np.ndarray,
+               amps: np.ndarray) -> float:
+    """The eigenvalue deviation of the columns v under the generator table
+    (perms, amps). G_i sends row r of V to row perm[r], so row perm[r] of
+    G_i V - V diag(omega^(k_i)) is amp[r] V[r] - V[perm[r]] omega^(k_i); each
+    generator takes the rows _BLOCK_BYTES at a time."""
     scale = _roots(params.p)[lex_digits(params.p, params.n)]  # (k, i): omega^(k_i)
-    v = basis.vectors
     step = max(1, _BLOCK_BYTES // (16 * params.dim))
     worst = 0.0
-    for i, row in enumerate(basis.group.matrix):
-        perm, amp = _generator(params, row)
+    for i, (perm, amp) in enumerate(zip(perms, amps)):
         for lo in range(0, params.dim, step):
             gv = amp[lo:lo + step, None] * v[lo:lo + step]
             gv -= v[perm[lo:lo + step]] * scale[:, i]
@@ -196,12 +204,6 @@ def reduced_density(state: np.ndarray, qupit: int, params: SystemParams) -> np.n
     psi = np.asarray(state, dtype=complex).reshape((p,) * n)
     axes = [i for i in range(n) if i != qupit]
     return np.tensordot(psi, psi.conj(), axes=(axes, axes))
-
-
-def purity(rho: np.ndarray, p: int) -> float:
-    """Rescaled purity (p Tr rho^2 - 1)/(p - 1): 1 on pure states, 0 at maximal mixing."""
-    tr2 = np.trace(rho @ rho).real
-    return float((p * tr2 - 1.0) / (p - 1.0))
 
 
 def qupit_purities(vectors: np.ndarray, params: SystemParams) -> np.ndarray:

@@ -91,10 +91,6 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Mat, Vec]:
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def rank(rows: Iterable[Sequence[int]], p: int) -> int:
-    return len(rref(rows, p)[1])
-
-
 def reduce_vector(vec: Sequence[int], mat: Mat, pivots: Vec, p: int) -> Vec:
     """Reduce vec against an rref matrix; the result is 0 iff vec is in the span."""
     v = [x % p for x in vec]

@@ -172,6 +172,38 @@ def test_verify_canonicalises_swapped_generators(capsys, tmp_path):
     assert code == 1 and "class 3: rank" in out
 
 
+def test_verify_reduces_only_non_canonical_classes(capsys, tmp_path, monkeypatch):
+    # loading and the class check test canonical form on class stacks, so a
+    # canonical file is verified with no rref call (two per class before),
+    # and a row-swapped class is reduced once, when it is loaded; the census
+    # reads every qupit off the stacks, with no per-class call
+    calls = []
+    rref = mubkit.complement.rref
+    factors = mubkit.complement.qupit_factor_distribution
+
+    def counted(rows, p):
+        calls.append(rows)
+        return rref(rows, p)
+
+    def counted_factors(group, qupit):
+        calls.append(group)
+        return factors(group, qupit)
+
+    monkeypatch.setattr(mubkit.complement, "rref", counted)
+    monkeypatch.setattr(mubkit.complement, "qupit_factor_distribution", counted_factors)
+    path = tmp_path / "c28.json"
+    path.write_text(dumps(field_spread(SystemParams(2, 8))))
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 0 and calls == []
+    doc = json.loads(path.read_text())
+    for i in (1, 100, 256):
+        gens = doc["classes"][i]["gens"]
+        gens[0], gens[-1] = gens[-1], gens[0]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", "--in", str(path)) == (0, out, "")
+    assert len(calls) == 3
+
+
 def test_verify_bad_inputs(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

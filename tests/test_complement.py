@@ -17,6 +17,7 @@ from mubkit.cli import _hilbert_checks
 from mubkit.complement import (
     CheckResult,
     Complement,
+    PurityCensus,
     _cover_masks,
     average_purity,
     complement_distribution,
@@ -31,10 +32,15 @@ from mubkit.complement import (
     to_json_dict,
     verify_spread,
 )
-from mubkit.errors import CensusViolationError, GuardExceededError, MubkitError
-from mubkit.groups import CompatGroup, lex_digits
+from mubkit.errors import (CensusViolationError, GuardExceededError, MubkitError,
+                           TheoremViolationError)
+from mubkit.groups import CompatGroup, lex_digits, qupit_factor_distribution
 from mubkit.pauli import symplectic_form_vec
-from mubkit.zplinalg import SystemParams, rank, rref, solve_affine
+from mubkit.zplinalg import SystemParams, rref, solve_affine
+
+def rank(rows, p):
+    return len(rref(rows, p)[1])
+
 
 FIELD_CASES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 9),
                (3, 2), (3, 3), (3, 4), (3, 5),
@@ -306,6 +312,134 @@ def test_first_bad_class_matches_pairwise_oracle(p, n):
             assert first_bad_class(one) == _first_bad_class_oracle(one)
     # a line is always isotropic
     assert ("not isotropic" in verdicts) is (n > 1)
+
+
+def _load_oracle(data):
+    """The earlier per-class load: every class goes through rref, and is
+    kept reduced at full rank and as given below it."""
+    p, n = data["p"], data["n"]
+    out = []
+    for entry in data["classes"]:
+        rows = [tuple(g["x"]) + tuple(g["z"]) for g in entry["gens"]]
+        red, pivots = rref(rows, p)
+        out.append(red if len(pivots) == n else tuple(rows))
+    return out
+
+
+def _first_bad_class_loop_oracle(c):
+    """The earlier first_bad_class loop: rref, form and isotropy one class
+    at a time."""
+    p, n = c.params.p, c.params.n
+    for idx, cls in enumerate(c.classes):
+        rows = cls.matrix
+        red, pivots = rref(rows, p)
+        if len(rows) != n or len(pivots) != n:
+            return f"class {idx}: rank"
+        if red != rows:
+            return f"class {idx}: not in canonical rref form"
+        m = np.array(rows, dtype=np.int64)
+        if ((m[:, :n] @ m[:, n:].T - m[:, n:] @ m[:, :n].T) % p).any():
+            return f"class {idx}: not isotropic"
+    return None
+
+
+def _census_oracle(c):
+    """The earlier purity_census loop, one qupit_factor_distribution per class
+    and qupit; the census, or the type and text of what it raises."""
+    p, n = c.params.p, c.params.n
+    pure, entangled, tally = [0] * n, [0] * n, [0] * n
+    try:
+        for cls in c.classes:
+            for i in range(n):
+                dist = qupit_factor_distribution(cls, i)
+                if dist.kind == "pure":
+                    pure[i] += 1
+                else:
+                    entangled[i] += 1
+                tally[i] += dist.multiplicity - 1
+    except MubkitError as exc:
+        return type(exc), str(exc)
+    for i in range(n):
+        if pure[i] != p + 1 or entangled[i] != p ** n - p:
+            return CensusViolationError, (
+                f"qupit {i}: pure in {pure[i]} classes, entangled in {entangled[i]}, "
+                f"expected {p + 1} and {p ** n - p}")
+    return PurityCensus(tuple(pure), tuple(entangled), tuple(tally))
+
+
+def _census_or_error(c):
+    try:
+        return purity_census(c)
+    except MubkitError as exc:
+        return type(exc), str(exc)
+
+
+def _mutate(matrix, kind, p, n):
+    """One class matrix changed as `kind` says; n >= 2."""
+    m = [list(row) for row in matrix]
+    if kind == "row-swapped":
+        m[0], m[-1] = m[-1], m[0]
+    elif kind == "unreduced":  # the same span, not in rref form
+        m[0] = [(a + b) % p for a, b in zip(m[0], m[-1])]
+    elif kind == "rank-deficient":
+        m[-1] = m[0]
+    elif kind == "non-isotropic":  # (I | S) with S off symmetric at (0, 1)
+        m = [[int(r == c) for c in range(n)] + [0] * n for r in range(n)]
+        m[0][n + 1] = 1
+    elif kind == "zero-column":  # qupit 0 has no local factor
+        for row in m:
+            row[0] = row[n] = 0
+    return tuple(map(tuple, m))
+
+
+STACK_KINDS = ("canonical", "row-swapped", "unreduced", "rank-deficient", "non-isotropic",
+               "zero-column")
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 4)])
+def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
+    # one or two classes changed per file, as one kind or two kinds, read at
+    # the default BATCH_BYTES, at three classes and at one class per stack (a
+    # stack takes an eighth of BATCH_BYTES)
+    params = SystemParams(p, n)
+    base = [cls.matrix for cls in field_spread(params).classes]
+    rng = np.random.default_rng(10 * p + n)
+    files = []
+    for kind in STACK_KINDS:
+        for other in ("canonical", kind, STACK_KINDS[int(rng.integers(len(STACK_KINDS)))]):
+            mats = list(base)
+            i, j = sorted(rng.choice(len(mats), 2, replace=False).tolist())
+            mats[j] = _mutate(mats[j], kind, p, n)
+            mats[i] = _mutate(mats[i], other, p, n)
+            files.append(mats)
+    verdicts = set()
+    for batch in (None, 8 * 3 * 2 * n * n * 8, 1):
+        if batch is not None:
+            monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch)
+        for mats in files:
+            comp = Complement(params, tuple(CompatGroup(params, m) for m in mats))
+            data = to_json_dict(comp)
+            loaded = from_json_dict(data)
+            assert [cls.matrix for cls in loaded.classes] == _load_oracle(data)
+            want = _first_bad_class_loop_oracle(comp)
+            assert first_bad_class(comp) == want
+            assert first_bad_class(loaded) == _first_bad_class_loop_oracle(loaded)
+            census = _census_oracle(comp)
+            assert _census_or_error(comp) == census
+            verdicts.add(want and want.split(": ")[1])
+            verdicts.add(type(census) if isinstance(census, PurityCensus) else census[0])
+    assert verdicts == {None, "rank", "not in canonical rref form", "not isotropic",
+                        PurityCensus, CensusViolationError, TheoremViolationError}
+
+
+def test_class_stacks_take_any_generator_count():
+    # a class without n generators is stacked as zeros and judged per class
+    params = SystemParams(2, 2)
+    classes = list(field_spread(params).classes)
+    classes[2] = CompatGroup(params, classes[2].matrix[:1])
+    comp = Complement(params, tuple(classes))
+    assert first_bad_class(comp) == _first_bad_class_loop_oracle(comp) == "class 2: rank"
+    assert _census_or_error(comp) == _census_oracle(comp)
 
 
 

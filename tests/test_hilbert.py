@@ -14,15 +14,13 @@ from mubkit.hilbert import (
     _TIE,
     MubBasis,
     _addition_table,
-    _generator,
+    _generators,
     _omega,
     _roots,
-    _shift_rows,
     eigenbasis,
     eigenvalue_deviation,
     mub_check,
     operator_matrix,
-    purity,
     qupit_purities,
     reduced_density,
 )
@@ -30,6 +28,33 @@ from mubkit.pauli import from_vector, parse_pauli
 from mubkit.zplinalg import SystemParams
 
 TOL = 1e-9
+
+
+def purity(rho, p):
+    """Rescaled purity (p Tr rho^2 - 1)/(p - 1): 1 on pure states, 0 at maximal mixing."""
+    tr2 = np.trace(rho @ rho).real
+    return float((p * tr2 - 1.0) / (p - 1.0))
+
+
+def _shift_rows(p, n, shifts):
+    """The earlier shift rows: row j sends each state index to the index of
+    that state plus state shifts[j], digit-wise mod p, read off a
+    shifts x d x n digit array."""
+    digits = lex_digits(p, n)
+    return np.ravel_multi_index(np.moveaxis((digits + digits[shifts][:, None]) % p, -1, 0),
+                                (p,) * n)
+
+
+def _generator(params, row):
+    """The earlier per-row generator: (perm, amp) of the operator with
+    exponent row (x | z), phased for p = 2, so that it sends |k> to
+    amp[k] |perm[k]>."""
+    p, n = params.p, params.n
+    x, z = row[:n], row[n:]
+    amp = _roots(p)[(lex_digits(p, n) @ np.array(z, dtype=np.int64)) % p]
+    if p == 2:
+        amp = amp * 1j ** int(sum(a * b for a, b in zip(x, z)))
+    return _shift_rows(p, n, [int(np.ravel_multi_index(x, (p,) * n))])[0], amp
 
 
 def test_single_site_matrices():
@@ -111,15 +136,45 @@ def test_commutation_oracle_exhaustive(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 4)])
 def test_shift_rows_match_ravel_oracle(p, n):
+    # the generator table's permutations, one row per x-block row: every
+    # shift, in any order, and one shift at a time
+    params = SystemParams(p, n)
     digits = lex_digits(p, n)
     want = np.stack([np.ravel_multi_index(((digits + digits[t]) % p).T, (p,) * n)
                      for t in range(p ** n)])
-    assert np.array_equal(_shift_rows(p, n, np.arange(p ** n)), want)
-    # any order of shifts, and one shift at a time
+    rows = np.hstack([digits, np.zeros_like(digits)])
+    assert np.array_equal(_generators(params, rows)[0], want)
     order = np.random.default_rng(10 * p + n).permutation(p ** n)
+    assert np.array_equal(_generators(params, rows[order])[0], want[order])
     assert np.array_equal(_shift_rows(p, n, order), want[order])
     for t in range(p ** n):
-        assert np.array_equal(_shift_rows(p, n, [t])[0], want[t])
+        assert np.array_equal(_generators(params, rows[t:t + 1])[0][0], want[t])
+
+
+# d = 243 and d = 256 are the sampled proofs' sizes
+TABLE_CASES = [(2, 1), (2, 2), (2, 3), (2, 5), (2, 8), (3, 1), (3, 2), (3, 3), (3, 5),
+               (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("p,n", TABLE_CASES)
+def test_generator_table_matches_per_row_oracle(p, n):
+    # field-spread classes and random exponent rows: at p = 2 the phase
+    # i^(x.z) takes all four values once x.z runs past 1; the table matches
+    # the per-row generators bit for bit, signed zeros included
+    params = SystemParams(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    matrices = [cls.matrix for cls in _sample_classes(p, n)]
+    matrices += [tuple(map(tuple, rng.integers(0, p, size=(n, 2 * n)).tolist()))
+                 for _ in range(4)]
+    if p == 2:
+        matrices.append(((1,) * (2 * n),) * n)  # x.z = n on every row
+    for matrix in matrices:
+        perms, amps = _generators(params, matrix)
+        assert perms.shape == amps.shape == (n, p ** n)
+        for i, row in enumerate(matrix):
+            perm, amp = _generator(params, row)
+            assert np.array_equal(perms[i], perm)
+            assert np.array_equal(amps[i].view(np.uint64), amp.view(np.uint64))
 
 
 def _shift_rows_oracle(p, n, shifts):
