@@ -26,8 +26,9 @@ LAGRANGIAN_GUARD = 100_000
 # search_spreads visits about 100k nodes per second on a 2-vCPU box; a
 # first hit at (2,4) takes 332, the whole (2,3) sweep 6520
 SEARCH_NODE_GUARD = 10_000_000
-# bytes per block when enumerate_lagrangians makes its tuples (rows of 2n^2
-# int64, 4096 rows at (3,4)) and _cover_masks its masks (a p^n x 2n int64
+# bytes per block when enumerate_lagrangians makes its tuples (counted as
+# 2n^2 int64 per Lagrangian, about what its list of row keys takes; 4096
+# Lagrangians at (3,4)) and _cover_masks its masks (a p^n x 2n int64
 # member product and a packed p^2n-bit row each, 174 rows at (3,4), 11 at
 # (5,4)), so neither holds a second copy of the list; verify_spread holds one
 # block of masks beside its running union, and the class checks one int64
@@ -317,13 +318,21 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     The cell of U holds one Lagrangian per S, p^(k(k+1)/2) of them from one
     batched product, so nothing is made twice and the count is
     prod_i (1 + p^i) = sum_k [n choose k]_p p^(k(k+1)/2).
+
+    Each cell yields its rows as base-p keys, not as matrices. The list is
+    made from the sorted keys, and equal rows share one tuple from a table of
+    the distinct rows: at (2,4), 165 row tuples serve 2295 Lagrangians of
+    4 rows each.
     """
     p, n = params.p, params.n
     total = lagrangian_count(params)
     if total > LAGRANGIAN_GUARD:
         raise GuardExceededError(
             f"{total} Lagrangians exceeds the enumeration guard {LAGRANGIAN_GUARD}")
-    cells = []
+    # a row's key reads it as a base-p numeral, entry 0 most significant, so
+    # rows of keys sort in the _canonical_key order of their matrices
+    powers = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
+    keys = []
     for k in range(n + 1):
         upper = np.triu_indices(k)
         forms = np.zeros((p ** len(upper[0]), k, k), dtype=np.int64)
@@ -334,19 +343,24 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
             perp, q = rref(null, p)
             perp = np.array(perp, dtype=np.int64).reshape(n - k, n)
             select = np.eye(n, dtype=np.int64)[list(pivots)]
-            cell = np.zeros((len(forms), n, 2 * n), dtype=np.int64)
-            cell[:, :k, :n] = basis
-            cell[:, :k, n:] = forms @ ((select - select[:, list(q)] @ perp) % p) % p
-            cell[:, k:, n:] = perp
-            cells.append(cell.reshape(len(forms), -1))
-    flat = np.concatenate(cells)
-    # lexsort keys on the last column first: this is the _canonical_key order
-    order = np.lexsort(flat.T[::-1])
+            z = forms @ ((select - select[:, list(q)] @ perp) % p)
+            z %= p
+            cell = np.empty((len(forms), n), dtype=np.int64)  # the rows' keys
+            cell[:, :k] = basis @ powers[:n] + z @ powers[n:]
+            cell[:, k:] = perp @ powers[n:]
+            keys.append(cell)
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1])  # lexsort keys on the last column first
+    # one tuple per distinct row, shared by every Lagrangian that holds it
+    # (np.unique would import numpy.ma, 13 ms on its first call)
+    distinct = np.sort(keys, axis=None)
+    distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+    table = dict(zip(distinct.tolist(),
+                     map(tuple, (distinct[:, None] // powers % p).tolist())))
     out: list[Mat] = []
-    rows = max(1, BATCH_BYTES // flat[0].nbytes)
+    rows = max(1, BATCH_BYTES // (2 * n * n * 8))
     for lo in range(0, total, rows):
-        block = flat[order[lo:lo + rows]].reshape(-1, n, 2 * n)
-        out += [tuple(map(tuple, m)) for m in block.tolist()]
+        out += [tuple(map(table.__getitem__, m)) for m in keys[order[lo:lo + rows]].tolist()]
     return out
 
 

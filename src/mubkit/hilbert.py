@@ -5,12 +5,14 @@ exactly as (permutation, amplitude vector) pairs and no dense operator or
 projector is formed. Each basis makes one generator table, the n permutations
 and n amplitude rows of its generators in whole-array steps, and uses it both
 to build and to prove the basis: the amplitudes of all p^n group elements come
-from folding in one table row at a time, every projector column from blocked
-gathers and one scatter, its rows read off the Z_p^n addition table, and the
-proof from the generator eigen-equations on the same table. Overlaps take one
-matrix product per pair and reduce it to its largest and smallest entry;
-purities take one batched product per qupit over a block of columns. Memory
-stays O(d^2). For p = 2 each site factor X^x Z^z carries the phase i^(x z),
+from folding in one table row at a time; the projector columns of a graph
+class are written a block of rows at a time, those of any other class from
+coset sums over blocks of columns, placed by the Z_p^n addition table; the
+proof comes from the generator eigen-equations on the same table. mub_check
+forms A^H B a block of rows at a time and keeps only its largest and smallest
+magnitude; purities take one batched product per qupit over a block of
+columns. Memory stays O(d^2), with about one d x d array of scratch beside a
+basis. For p = 2 each site factor X^x Z^z carries the phase i^(x z),
 which makes every group element square to the identity; for odd p the plain
 products already have order p.
 """
@@ -28,8 +30,8 @@ from .zplinalg import SystemParams
 
 TOL = 1e-9
 _TIE = 1e-12
-# bytes of d-entry complex rows that eigenbasis, eigenvalue_deviation and
-# qupit_purities take at a time
+# bytes of d-entry complex rows that eigenbasis, eigenvalue_deviation,
+# qupit_purities and mub_check take at a time
 _BLOCK_BYTES = 1 << 17
 
 
@@ -89,6 +91,25 @@ def _generators(params: SystemParams, matrix) -> tuple[np.ndarray, np.ndarray]:
     return perms, amps
 
 
+def _amplitudes(p: int, perms: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """amp[t, s], with G_t |s> = amp[t, s] |s + shift_t> for every element
+    G_t = G_0^e_0 ... G_(n-1)^e_(n-1), e_t = lex_digits row t: the generators
+    of the table (perms, amps) are folded in one at a time, in place, and
+    element t * p + j is G_t G^j."""
+    d = perms.shape[1]
+    out = np.empty((d, d), dtype=complex)
+    out[0] = 1
+    rows = 1
+    for perm, g in zip(perms, amps):
+        grid = out[:rows * p].reshape(rows, p, d)
+        grid[:, 0] = out[:rows]  # the rows overlap, so numpy copies them first
+        for j in range(1, p):
+            grid[:, j] = grid[:, j - 1, perm]
+            grid[:, j] *= g
+        rows *= p
+    return out
+
+
 @dataclass
 class MubBasis:
     """Eigenbasis of a compatibility group; column k is the joint eigenvector
@@ -107,14 +128,19 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     Whole-array construction: one generator table holds the permutation and
     amplitude row of every generator, and the amplitudes of all elements
     G_t = G_0^e_0 ... G_(n-1)^e_(n-1), e_t = lex_digits row t, are folded
-    in one table row at a time (n (p - 1) gathers). G_t shifts by e_t times the
-    x-block of the generator matrix; elements that share a shift form a coset
-    of the zero-shift subgroup and land on the same row of P(k) e_s, so each
-    column is the sum over cosets of weighted amplitudes, written with one
-    scatter. The diagonal that picks s_k needs only the zero-shift weights;
-    the amplitudes of P(k) e_(s_k) are gathered _BLOCK_BYTES at a time, and
-    coset u's row in column k is entry [shift_u, s_k] of the addition table.
-    No array larger than d x d is formed, so memory stays O(d^2).
+    in one table row at a time (n (p - 1) gathers, in place). G_t shifts by
+    e_t times the x-block of the generator matrix; elements that share a
+    shift form a coset of the zero-shift subgroup, of size c, and land on the
+    same row of P(k) e_s, so each column is the sum over cosets of weighted
+    amplitudes. The diagonal that picks s_k needs only the zero-shift
+    weights. For c > 1, _BLOCK_BYTES of columns at a time take their
+    diagonal, s_k and coset sums; the amplitude table is then freed, and
+    coset u's row in column k, entry [shift_u, s_k] of the addition table,
+    places each sum. A graph class has c = 1: every diagonal entry is 1 / d,
+    so s_k = 0, and coset u is row u, so the columns are written a block of
+    rows at a time from the amplitudes at state 0, with no diagonal, coset
+    sums or addition table. Beside the finished basis, no more than about one
+    d x d array is held at a time, so memory stays O(d^2).
 
     With check set, every column is tested against all n generator
     eigen-equations G_i v_k = omega^(k_i) v_k, read off the same table, and
@@ -128,50 +154,78 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     p, n, d = params.p, params.n, params.dim
     digits = lex_digits(p, n)
     perms, gens = _generators(params, group.matrix)
-    amp = np.ones((1, d), dtype=complex)  # G_t |s> = amp[t, s] |s + shift_t>
-    for perm, g in zip(perms, gens):
-        amp = np.repeat(amp[:, None], p, axis=1)  # element t * p + j is G_t G^j
-        for j in range(1, p):
-            np.multiply(amp[:, j - 1, perm], g, out=amp[:, j])
-        amp = amp.reshape(-1, d)
+    amp = _amplitudes(p, perms, gens)  # G_t |s> = amp[t, s] |s + shift_t>
     xs = (digits @ np.array(group.matrix, dtype=np.int64)[:, :n]) % p
     shift = np.ravel_multi_index(xs.T, (p,) * n)
     order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
     c = int(np.count_nonzero(shift == 0))
     weights = _roots(p).conj() / d  # weights[x] = omega^-x / d
-    ph = digits @ digits[order[:c]].T
-    ph %= p
-    diag = (weights[ph] @ amp[order[:c]]).real  # diag[k, s] = P(k)[s, s]
-    s = np.argmax(diag >= diag.max(axis=1, keepdims=True) - _TIE, axis=1)
-    del diag
-    ph = digits @ digits[order].T
-    ph %= p
-    w = weights[ph]  # w[k, u] = omega^(-e_k.e_t) / d, t = order[u]
-    del ph
     step = max(1, _BLOCK_BYTES // (16 * d))
-    for lo in range(0, d, step):  # term t of P(k) e_(s_k)
-        w[:, lo:lo + step] *= amp[order[lo:lo + step, None], s].T
-    del amp
-    sums = w.reshape(d, d // c, c).sum(axis=2)  # one entry per coset
-    del w
-    rows = _addition_table(p, n)[shift[order[::c], None], s]  # coset u's row in column k
     k = np.arange(d)
-    vecs = np.zeros((d, d), dtype=complex)
-    vecs[rows, k] = sums.T
-    del rows, sums
-    norm = np.linalg.norm(vecs, axis=0)
+    if c == 1:
+        # G_0 = I alone keeps each |s>, so P(k)[s, s] = 1 / d and s_k = 0; the
+        # sorted shifts are 0, ..., d - 1, so coset u is row u of every column
+        lead = amp[order, 0]  # G_t |0> = lead[u] |u>, t = order[u]
+        del amp
+        vecs = np.empty((d, d), dtype=complex)
+        for lo in range(0, d, step):
+            ph = digits[order[lo:lo + step]] @ digits.T
+            ph %= p
+            blk = vecs[lo:lo + step]
+            blk[...] = weights[ph]
+            # a whole array, as a broadcast column would take numpy's
+            # scalar-operand loop, which rounds differently
+            blk *= np.repeat(lead[lo:lo + step, None], d, axis=1)
+            blk += 0.0  # as a one-term coset sum, which turns -0.0 into 0.0
+    else:
+        # per block of columns k: the diagonal from the zero-shift weights,
+        # s_k, and the coset sums; then the amplitudes go before the scatter
+        zero = amp[order[:c]] if c < d else amp  # order is 0, ..., d - 1 when c = d
+        s = np.empty(d, dtype=np.int64)
+        sums = np.empty((d, d // c), dtype=complex)
+        for lo in range(0, d, step):
+            ph = digits[lo:lo + step] @ digits[order].T
+            ph %= p
+            w = weights[ph]  # w[k, u] = omega^(-e_k.e_t) / d, t = order[u]
+            diag = (w[:, :c] @ zero).real  # diag[k, s] = P(k)[s, s]
+            s[lo:lo + step] = np.argmax(diag >= diag.max(axis=1, keepdims=True) - _TIE,
+                                        axis=1)
+            w *= amp[order, s[lo:lo + step, None]]  # term t of P(k) e_(s_k)
+            sums[lo:lo + step] = w.reshape(len(w), d // c, c).sum(axis=2)
+        del amp, zero
+        table = _addition_table(p, n)
+        vecs = np.zeros((d, d), dtype=complex)
+        for lo in range(0, d, step):  # coset u's row in column k
+            rows = table[shift[order[::c], None], s[lo:lo + step]]
+            vecs[rows, k[lo:lo + step]] = sums[lo:lo + step].T
+        del table, sums
+    norm = _column_norms(vecs)
     if norm.min() < 1e-6:
         raise ProjectorNotRankOneError("projector column is numerically zero")
     vecs /= norm
     mags = np.abs(vecs)
     j = np.argmax(mags >= mags.max(axis=0) - _TIE, axis=0)
     vecs *= (vecs[j, k] / mags[j, k]).conj()
+    del mags
     if check:
         dev = _deviation(params, vecs, perms, gens)
         if dev > TOL:
             raise ProjectorNotRankOneError(
                 f"eigenvectors miss the generator eigenvalues by {dev:.3g}")
     return MubBasis(group, vecs)
+
+
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=0) bit for bit, without its two whole-array
+    temporaries: the squared magnitudes of _BLOCK_BYTES of rows at a time are
+    added to the running sums row by row, in the order of its reduction."""
+    step = max(1, _BLOCK_BYTES // (16 * v.shape[1]))
+    acc = np.zeros((step + 1, v.shape[1]))  # row 0 holds the running sums
+    for lo in range(0, len(v), step):
+        blk = v[lo:lo + step]
+        acc[1:len(blk) + 1] = (blk.conj() * blk).real
+        acc[0] = np.add.reduce(acc[:len(blk) + 1], axis=0)
+    return np.sqrt(acc[0])
 
 
 def eigenvalue_deviation(basis: MubBasis) -> float:
@@ -234,6 +288,12 @@ def mub_check(a: MubBasis, b: MubBasis) -> float:
     if a.group.matrix == b.group.matrix:
         raise SameGroupError("both bases diagonalize the same compatibility group")
     d = a.group.params.dim
-    m = np.abs(a.vectors.conj().T @ b.vectors)
-    hi, lo = float(m.max()), float(m.min())
+    # A^H B a block of rows at a time; no block is one row, since BLAS takes a
+    # one-row product as a matrix-vector product, which rounds differently
+    step = max(2, _BLOCK_BYTES // (16 * d))
+    edges = [*range(0, d - 1, step), d]
+    hi, lo = 0.0, np.inf
+    for top, end in zip(edges, edges[1:]):
+        m = np.abs(a.vectors[:, top:end].conj().T @ b.vectors)
+        hi, lo = max(hi, float(m.max())), min(lo, float(m.min()))
     return max(abs(hi * hi - 1.0 / d), abs(lo * lo - 1.0 / d))

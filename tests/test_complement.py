@@ -19,6 +19,7 @@ from mubkit.complement import (
     Complement,
     PurityCensus,
     _cover_masks,
+    _subspaces,
     average_purity,
     complement_distribution,
     dumps,
@@ -555,6 +556,47 @@ def test_enumerate_lagrangians_matches_oracle(monkeypatch, p, n):
         assert enumerate_lagrangians(params) == want
 
 
+def _tuple_rows_oracle(params):
+    """The earlier enumerate_lagrangians body: every cell as an n x 2n int64
+    array, one sorted array of them all, and a fresh tuple for every row of
+    every Lagrangian."""
+    p, n = params.p, params.n
+    cells = []
+    for k in range(n + 1):
+        upper = np.triu_indices(k)
+        forms = np.zeros((p ** len(upper[0]), k, k), dtype=np.int64)
+        forms[:, upper[0], upper[1]] = forms[:, upper[1], upper[0]] = lex_digits(
+            p, len(upper[0]))
+        for pivots, basis in _subspaces(p, n, k):
+            _, null = solve_affine(basis.tolist(), [0] * k, n, p)
+            perp, q = rref(null, p)
+            perp = np.array(perp, dtype=np.int64).reshape(n - k, n)
+            select = np.eye(n, dtype=np.int64)[list(pivots)]
+            cell = np.zeros((len(forms), n, 2 * n), dtype=np.int64)
+            cell[:, :k, :n] = basis
+            cell[:, :k, n:] = forms @ ((select - select[:, list(q)] @ perp) % p) % p
+            cell[:, k:, n:] = perp
+            cells.append(cell.reshape(len(forms), -1))
+    flat = np.concatenate(cells)
+    order = np.lexsort(flat.T[::-1])
+    return [tuple(map(tuple, m)) for m in flat[order].reshape(-1, n, 2 * n).tolist()]
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_enumerate_lagrangians_shares_rows(monkeypatch, p, n):
+    # the same list as the tuple-per-row body, at the default block bound
+    # and at one Lagrangian per block, with one object per distinct row
+    params = SystemParams(p, n)
+    want = _tuple_rows_oracle(params)
+    for bound in (None, 1):
+        if bound is not None:
+            monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", bound)
+        got = enumerate_lagrangians(params)
+        assert got == want
+        distinct = {row for m in got for row in m}
+        assert len({id(row) for m in got for row in m}) <= len(distinct)
+
+
 def gaussian_binomial(n, k, p):
     """[n choose k]_p, the number of k dimensional subspaces of Z_p^n."""
     num = den = 1
@@ -717,45 +759,60 @@ def test_search_first_spread_2_5():
     assert verify_spread(comp).ok
 
 
+def _child_peak_kb(body):
+    """The VmHWM (peak resident memory, kB) of a fresh interpreter that runs
+    body with this tree's mubkit; ru_maxrss would report at least the peak
+    the child inherits from this process."""
+    code = body + ("print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                   "           if line.startswith('VmHWM:')))\n")
+    src = str(Path(mubkit.complement.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return int(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True).stdout)
+
+
+def _cli_body(argv):
+    return ("import contextlib, io\n"
+            "from mubkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_search_first_hit_3_4_peak_memory():
     """A first (3,4) spread holds no per-node list of suffix unions: its peak
     RSS stays under 260 MB, against 402 MB with one int per live class at
-    every node. The peak is the child's own VmHWM; ru_maxrss would report at
-    least the peak it inherits from this process."""
-    code = ("from mubkit.complement import search_spreads\n"
-            "from mubkit.zplinalg import SystemParams\n"
-            "next(search_spreads(SystemParams(3, 4)))\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "           if line.startswith('VmHWM:')))\n")
-    src = str(Path(mubkit.complement.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert int(out) < 260 * 1024  # VmHWM is in kB
+    every node. The peak is the child's own VmHWM."""
+    assert _child_peak_kb("from mubkit.complement import search_spreads\n"
+                          "from mubkit.zplinalg import SystemParams\n"
+                          "next(search_spreads(SystemParams(3, 4)))\n") < 260 * 1024
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("p,n,bound_mb", [(2, 8, 72), (3, 4, 72)], ids=["sampled-2-8", "full-3-4"])
+def test_complement_search_3_4_peak_memory():
+    """`complement --p 3 --n 4 --method search` in a fresh process: its 91,840
+    Lagrangians share their row tuples, so the list takes about 8 MB beside
+    82 MB of cover masks. The peak (the child's VmHWM) stays under 145 MB,
+    near 127 MB on a 2-vCPU box with numpy 2.4; a tuple for every row put it
+    near 166 MB."""
+    argv = ["complement", "--p", "3", "--n", "4", "--method", "search"]
+    assert _child_peak_kb(_cli_body(argv)) < 145 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("p,n,bound_mb", [(2, 8, 72), (3, 4, 72), (5, 4, 80)],
+                         ids=["sampled-2-8", "full-3-4", "sampled-5-4"])
 def test_verify_peak_memory(tmp_path, p, n, bound_mb):
-    """`verify --in` on a field spread, in a fresh process: (2,8) proves 6
-    sampled bases of d = 256, (3,4) all 82 bases of d = 81 and their 3321
-    pairs. Its peak resident memory (the child's own VmHWM) stays under the
-    bound, near 43 MB and 40 MB on a 2-vCPU box with numpy 2.4; a full proof
-    at d = 256 would hold 257 MB of eigenvectors."""
+    """`verify --in` on a field spread, in a fresh process: (2,8) and (5,4)
+    prove 6 sampled bases of d = 256 and d = 625, (3,4) all 82 bases of
+    d = 81 and their 3321 pairs. Its peak resident memory (the child's own
+    VmHWM) stays under the bound: near 40 MB at (2,8) and (3,4) and 73 MB at
+    (5,4) on a 2-vCPU box with numpy 2.4. A full proof at d = 256 would hold
+    257 MB of eigenvectors, and at (5,4) whole-array overlap products and
+    eigenbasis scratch put the peak near 86 MB."""
     path = tmp_path / f"f{p}{n}.json"
     path.write_text(dumps(field_spread(SystemParams(p, n))))
-    code = ("import contextlib, io\n"
-            "from mubkit.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['verify', '--in', {str(path)!r}]) == 0\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-            "           if line.startswith('VmHWM:')))\n")
-    src = str(Path(mubkit.complement.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert int(out) < bound_mb * 1024  # VmHWM is in kB
+    assert _child_peak_kb(_cli_body(["verify", "--in", str(path)])) < bound_mb * 1024
 
 
 def test_search_guard():

@@ -1,5 +1,6 @@
 """Dense realization: matrices, projectors, eigenbases, purities."""
 
+import tracemalloc
 from dataclasses import dataclass
 from itertools import product
 
@@ -14,6 +15,7 @@ from mubkit.hilbert import (
     _TIE,
     MubBasis,
     _addition_table,
+    _column_norms,
     _generators,
     _omega,
     _roots,
@@ -259,6 +261,72 @@ def test_eigenbasis_bit_identical_to_earlier_construction(monkeypatch, p, n):
         monkeypatch.undo()
 
 
+def _zero_shift_size(group):
+    """c, the number of elements of the group that shift no state."""
+    p, n = group.params.p, group.params.n
+    x = np.array(group.matrix, dtype=np.int64)[:, :n]
+    return int(np.count_nonzero(~((lex_digits(p, n) @ x) % p).any(axis=1)))
+
+
+def _groups_of_every_zero_shift_size():
+    """Every Lagrangian at (2,3) and (3,2), 40 seeded ones at (2,4), (3,3)
+    and (5,2), and the field classes at (2,5): graph classes (c = 1), the
+    vertical class (c = d) and every size between."""
+    rng = np.random.default_rng(18)
+    for p, n, take in ((2, 3, None), (3, 2, None), (2, 4, 40), (3, 3, 40), (5, 2, 40)):
+        params = SystemParams(p, n)
+        lagrangians = enumerate_lagrangians(params)
+        picks = range(len(lagrangians)) if take is None else rng.choice(
+            len(lagrangians), take, replace=False)
+        yield from (CompatGroup(params, lagrangians[i]) for i in picks)
+    yield from field_spread(SystemParams(2, 5)).classes
+
+
+def test_eigenbasis_bits_on_every_zero_shift_size(monkeypatch):
+    # eigenbasis builds graph classes (c = 1) without the diagonal, the coset
+    # sums and the addition table, and every other class a block of columns
+    # at a time; both give the earlier construction's bits, signed zeros
+    # included, by default and with blocks of one row or column
+    sizes = set()
+    for group in _groups_of_every_zero_shift_size():
+        c, d = _zero_shift_size(group), group.params.dim
+        sizes.add("c = 1" if c == 1 else "c = d" if c == d else "1 < c < d")
+        want = _eigenbasis_oracle(group).view(np.uint64)
+        for block in (1 << 17, 1):
+            monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+            assert np.array_equal(eigenbasis(group, check=False).vectors.view(np.uint64), want)
+    assert sizes == {"c = 1", "c = d", "1 < c < d"}
+
+
+@pytest.mark.parametrize("block", [1, 3 * 16 * 81, 1 << 17])
+def test_column_norms_bit_identical_to_linalg_norm(monkeypatch, block):
+    monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+    rng = np.random.default_rng(block)
+    for rows, cols in ((1, 1), (5, 5), (81, 81), (256, 256), (100, 7)):
+        v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        assert np.array_equal(_column_norms(v).view(np.uint64),
+                              np.linalg.norm(v, axis=0).view(np.uint64))
+
+
+@pytest.mark.parametrize("pick", [1, 0], ids=["graph", "vertical"])
+def test_eigenbasis_scratch_is_below_one_basis(pick):
+    """Beside the finished d x d basis, eigenbasis holds less than one more
+    d x d complex array at a time (near 0.7 of one at d = 243); the earlier
+    construction reached 1.8 for a graph class and 3.5 for the vertical
+    class, whose whole amplitude table it copied."""
+    params = SystemParams(3, 5)
+    group = field_spread(params).classes[pick]
+    assert _zero_shift_size(group) == (1 if pick else params.dim)
+    eigenbasis(group)  # fills the digit cache
+    tracemalloc.start()
+    try:
+        basis = eigenbasis(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - basis.vectors.nbytes < basis.vectors.nbytes
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (5, 1)])
 def test_eigenbasis_diagonalizes_group(p, n):
     params = SystemParams(p, n)
@@ -498,17 +566,39 @@ def test_trimmed_loops_bit_identical_to_oracles():
 
 
 @pytest.mark.parametrize("p,n", DIFF_CASES)
-def test_mub_check_bit_identical_to_elementwise_oracle(p, n):
+def test_mub_check_bit_identical_to_elementwise_oracle(monkeypatch, p, n):
     # the worst deviation from the largest and smallest overlap alone equals
-    # the elementwise maximum exactly, on unbiased pairs and on a noisy basis
+    # the elementwise maximum of the whole product exactly, on unbiased pairs
+    # and on a noisy basis, with rows of A^H B taken by default, three at a
+    # time, or as few as mub_check takes: a one-byte bound gets two-row blocks
+    # (a three-row last one when d is odd), as BLAS makes a one-row product a
+    # matrix-vector product, which rounds differently
     bases = [eigenbasis(cls, check=False) for cls in _sample_classes(p, n)]
-    for i, a in enumerate(bases):
-        for b in bases[i + 1:]:
-            assert mub_check(a, b) == _mub_check_oracle(a, b) < TOL
     rng = np.random.default_rng(p + n)
     v = bases[0].vectors
     bent = MubBasis(bases[0].group, v + 1e-6 * rng.standard_normal(v.shape))
-    assert mub_check(bent, bases[1]) == _mub_check_oracle(bent, bases[1]) > 1e-8
+    for block in (1 << 17, 3 * 16 * p ** n, 1):
+        monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+        for i, a in enumerate(bases):
+            for b in bases[i + 1:]:
+                assert mub_check(a, b) == _mub_check_oracle(a, b) < TOL
+        assert mub_check(bent, bases[1]) == _mub_check_oracle(bent, bases[1]) > 1e-8
+
+
+def test_mub_check_memory_is_a_few_blocks():
+    """At d = 243 mub_check holds one row block of A^H B with its conjugate
+    operand and magnitudes, about a third of a d x d complex array; the whole
+    product and its conjugate operand came to two of them."""
+    params = SystemParams(3, 5)
+    a, b = (eigenbasis(cls, check=False) for cls in field_spread(params).classes[1:3])
+    mub_check(a, b)
+    tracemalloc.start()
+    try:
+        mub_check(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(3 * mubkit.hilbert._BLOCK_BYTES, a.vectors.nbytes / 2)
 
 
 @pytest.mark.parametrize("p,n", DIFF_CASES)
