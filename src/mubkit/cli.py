@@ -20,8 +20,6 @@ from math import comb
 import numpy as np
 
 from .complement import (
-    MEMBER_TABLE_GUARD,
-    PROOF_MEMORY_GUARD,
     CheckResult,
     Complement,
     complement_distribution,
@@ -34,7 +32,7 @@ from .complement import (
     search_spreads,
     verify_spread,
 )
-from .errors import GuardExceededError, InfeasibleError, MubkitError
+from .errors import GuardExceededError, InfeasibleError, MubkitError, guard_memory
 from .groups import MUB_LABELS, classify_basis, group_from_generators
 from .hilbert import TOL, eigenbasis, eigenvalue_deviation, mub_check, qupit_purities
 from .pauli import parse_pauli
@@ -96,19 +94,9 @@ def _parse_counts(clauses, flag: str) -> dict[str, int]:
     return out
 
 
-def _guard_members(classes: int, params: SystemParams) -> None:
-    need = classes * params.dim * 2 * params.n * 8
-    if need > MEMBER_TABLE_GUARD:
-        raise GuardExceededError(
-            f"{classes} classes at p = {params.p}, n = {params.n} need {need} bytes of "
-            f"member tables, over the guard {MEMBER_TABLE_GUARD}")
-
-
 def _load(path: str) -> Complement:
     with open(path, "r", encoding="utf-8") as fh:
-        comp = from_json_dict(json.load(fh))
-    _guard_members(len(comp.classes), comp.params)
-    return comp
+        return from_json_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +143,19 @@ def cmd_complement(args) -> int:
 
 def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
     """Prove every basis up to max_dim, else a seeded sample of _SAMPLE_BASES;
-    then check the pairs among them for unbiasedness and their qupit purities."""
+    then check the pairs among them for unbiasedness and their qupit purities.
+    The bases it keeps, and beside them the scratch of eigenbasis (under one
+    more basis), are checked against the memory guard first."""
     params = comp.params
     d = params.dim
     total = len(comp.classes)
     full = d <= max_dim
-    if full:
-        need = total * d * d * 16
-        if need > PROOF_MEMORY_GUARD:
-            raise GuardExceededError(
-                f"a full Hilbert proof of {total} bases at d = {d} holds {need} bytes "
-                f"of eigenvectors, over the guard {PROOF_MEMORY_GUARD}; lower "
-                f"--hilbert-max-dim below {d} to sample bases")
-        idx = list(range(total))
-    else:
-        idx = sorted(random.Random(0).sample(range(total), min(_SAMPLE_BASES, total)))
+    idx = list(range(total)) if full else sorted(
+        random.Random(0).sample(range(total), min(_SAMPLE_BASES, total)))
+    guard_memory((len(idx) + 1) * d * d * 16,
+                 f"a {'full' if full else 'sampled'} Hilbert proof of {len(idx)} bases at "
+                 f"d = {d} with its eigenbasis scratch",
+                 f"; lower --hilbert-max-dim below {d} to sample bases" if full else "")
     tag = "" if full else " (sampled)"
     scope = "" if full else f" over {len(idx)} of {total} bases"
     name = "hilbert-projectors" if full else "hilbert-eigenvectors (sampled)"
@@ -246,7 +232,6 @@ def cmd_classify(args) -> int:
         first = tokens[0]
         n = first.count(",") + 1 if "," in first or " " in first else len(first)
         params = SystemParams(args.p, n)
-        _guard_members(1, params)
         ops = [parse_pauli(t, params) for t in tokens]
         mt = classify_basis(group_from_generators(params, ops))
         variant = [[q + 1 for q in block] for block in mt.pattern]

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CensusViolationError, GuardExceededError, MubkitError
+from .errors import CensusViolationError, GuardExceededError, MubkitError, guard_memory
 from .groups import (CompatGroup, MubType, classify_basis, lex_digits,
                      qupit_factor_distribution)
 from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
@@ -34,12 +34,6 @@ SEARCH_NODE_GUARD = 10_000_000
 # block of masks beside its running union, and the class checks one int64
 # stack of n x 2n generator matrices in an eighth of it
 BATCH_BYTES = 1 << 20
-# bytes of eigenvectors a full Hilbert proof holds, (d + 1) d^2 16; admits d <= 343
-PROOF_MEMORY_GUARD = 1 << 30
-# bytes of int64 member tables the loaded classes would fill at once, classes
-# p^n 2n 8 (classify holds one at a time, verify none); admits every spread up
-# to d = 1024 (168 MB), field spreads stop at 625
-MEMBER_TABLE_GUARD = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,8 @@ def first_bad_class(c: Complement) -> str | None:
 
 def verify_spread(c: Complement) -> SpreadReport:
     """Symplectic verification: class count, each class Lagrangian, and the
-    nonzero vectors exactly covered. Returns a report instead of raising."""
+    nonzero vectors exactly covered. A failed check goes into the report;
+    GuardExceededError is raised when the cover union would pass MEMORY_GUARD."""
     p, n = c.params.p, c.params.n
     checks: list[CheckResult] = []
     want = p ** n + 1
@@ -177,22 +172,29 @@ def verify_spread(c: Complement) -> SpreadReport:
     bad = first_bad_class(c)
     checks.append(CheckResult(
         "classes Lagrangian", bad is None, bad or "all classes rank n and isotropic"))
-    # every class's keys count toward the cover; the first collision is the
-    # lowest key the first colliding class shares with the classes before it,
-    # whose masks are derived again to name the other class
+    # every class's keys count toward the cover. Five ints or arrays of p^2n
+    # bits live at most (the union, a batch's last mask and the next's first,
+    # its packed row and the bytes int.from_bytes copies), counted as six for
+    # 32-bit words of 30-bit digits, beside (5n + 4) p^n int64 of member keys.
+    guard_memory(6 * ((p ** (2 * n) + 7) // 8) + (5 * n + 4) * p ** n * 8,
+                 f"the cover union at p = {p}, n = {n}")
     matrices = [cls.matrix for cls in c.classes]
     union = 0
-    collision = None
+    first = None  # the first class that shares a vector with the classes before it
     for idx, mask in enumerate(_cover_masks(c.params, matrices)):
-        shared = union & mask
-        if shared and collision is None:
-            low = shared & -shared
-            other = next(j for j, m in enumerate(_cover_masks(c.params, matrices[:idx]))
-                         if m & low)
-            collision = (other, idx, low.bit_length() - 1)
+        if first is None and union & mask:
+            first = idx
         union |= mask
     universe = p ** (2 * n) - 1
     covered = union.bit_count()
+    collision = None
+    if first is not None:
+        # the lowest key it shares, from member key sets, not p^2n-bit ints
+        own = set(_member_keys(c.params, matrices[first:first + 1])[0].tolist()) - {0}
+        shared = [own.intersection(_member_keys(c.params, [m])[0].tolist())
+                  for m in matrices[:first]]
+        key = min(min(s) for s in shared if s)
+        collision = (next(j for j, s in enumerate(shared) if key in s), first, key)
     checks.append(CheckResult(
         "pairwise disjoint", collision is None,
         "no shared nonzero vectors" if collision is None else
@@ -336,7 +338,8 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     for k in range(n + 1):
         upper = np.triu_indices(k)
         forms = np.zeros((p ** len(upper[0]), k, k), dtype=np.int64)
-        forms[:, upper[0], upper[1]] = forms[:, upper[1], upper[0]] = lex_digits(
+        # this one-off table would stay in lex_digits's cache for the process
+        forms[:, upper[0], upper[1]] = forms[:, upper[1], upper[0]] = lex_digits.__wrapped__(
             p, len(upper[0]))
         for pivots, basis in _subspaces(p, n, k):
             _, null = solve_affine(basis.tolist(), [0] * k, n, p)  # spans U^perp
@@ -364,23 +367,27 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     return out
 
 
+def _member_keys(params: SystemParams, lagrangians: list[Mat]) -> np.ndarray:
+    """The base-p keys of the p^n members of each Lagrangian, one row each."""
+    p, n = params.p, params.n
+    gens = np.array(lagrangians, dtype=np.int64)
+    return (lex_digits(p, n) @ gens) % p @ (p ** np.arange(2 * n, dtype=np.int64))
+
+
 def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> Iterator[int]:
     """Each Lagrangian's nonzero member keys as one int, bit k for key k.
 
     The member keys of a batch of Lagrangians come from one product, and
     their bits are OR-ed straight into packed rows of p^2n bits; a batch takes
     as many Lagrangians as BATCH_BYTES holds of their int64 products and
-    packed rows. The masks are yielded in order, one batch at a time.
-    """
+    packed rows. The masks are yielded in order, one batch at a time."""
     p, n = params.p, params.n
-    powers = p ** np.arange(2 * n, dtype=np.int64)
     width = (p ** (2 * n) + 7) // 8
     rows = max(1, BATCH_BYTES // (p ** n * 2 * n * 8 + width))
     for lo in range(0, len(lagrangians), rows):
-        gens = np.array(lagrangians[lo:lo + rows], dtype=np.int64)
-        keys = (lex_digits(p, n) @ gens) % p @ powers
-        packed = np.zeros((len(gens), width), dtype=np.uint8)
-        np.bitwise_or.at(packed, (np.arange(len(gens))[:, None], keys >> 3),
+        keys = _member_keys(params, lagrangians[lo:lo + rows])
+        packed = np.zeros((len(keys), width), dtype=np.uint8)
+        np.bitwise_or.at(packed, (np.arange(len(keys))[:, None], keys >> 3),
                          (1 << (keys & 7)).astype(np.uint8))
         packed[:, 0] &= 0xFE  # the zero vector is in every class
         for row in packed:

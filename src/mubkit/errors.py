@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one memory guard."""
 
 from __future__ import annotations
 
@@ -47,3 +47,14 @@ class GuardExceededError(MubkitError):
 
 class InfeasibleError(MubkitError):
     """No solution satisfies the requested constraints."""
+
+
+# the most bytes one command may hold; each array or int that grows with d is
+# checked against it by guard_memory where it is made
+MEMORY_GUARD = 1 << 30
+
+
+def guard_memory(need: int, what: str, hint: str = "") -> None:
+    if need > MEMORY_GUARD:
+        raise GuardExceededError(
+            f"{what} would hold {need} bytes, over the memory guard {MEMORY_GUARD}{hint}")

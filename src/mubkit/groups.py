@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (DependentGeneratorsError, NonCommutingError,
-                     TheoremViolationError)
+                     TheoremViolationError, guard_memory)
 from .pauli import PauliOp, symplectic_form, symplectic_form_vec
 from .zplinalg import Mat, SystemParams, Vec, reduce_vector, rref
 
@@ -79,9 +79,12 @@ def group_from_generators(params: SystemParams, gens: list[PauliOp] | tuple[Paul
 def _support_counts(group: CompatGroup) -> np.ndarray:
     """The number of members supported on exactly each qupit subset, indexed
     by bitmask (bit i for qupit i), from one member table that is dropped on
-    return."""
+    return: beside the digit table, the product and then its supports' int64
+    copy and boolean masks, under 5n int64 per member in all."""
     p, n = group.params.p, group.params.n
-    m = (lex_digits(p, n) @ np.array(group.matrix, dtype=np.int64).reshape(n, 2 * n)) % p
+    guard_memory(p ** n * 5 * n * 8, f"the member table of a group on {n} qupits at p = {p}")
+    m = lex_digits(p, n) @ np.array(group.matrix, dtype=np.int64).reshape(n, 2 * n)
+    m %= p
     support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
     return np.bincount(support, minlength=1 << n)
 

@@ -7,7 +7,7 @@ and n amplitude rows of its generators in whole-array steps, and uses it both
 to build and to prove the basis: the amplitudes of all p^n group elements come
 from folding in one table row at a time; the projector columns of a graph
 class are written a block of rows at a time, those of any other class from
-coset sums over blocks of columns, placed by the Z_p^n addition table; the
+coset sums over blocks of columns, placed by Z_p^n digit sums; the
 proof comes from the generator eigen-equations on the same table. mub_check
 forms A^H B a block of rows at a time and keeps only its largest and smallest
 magnitude; purities take one batched product per qupit over a block of
@@ -59,24 +59,21 @@ def _roots(p: int) -> np.ndarray:
     return _omega(p) ** np.arange(p)
 
 
-def _addition_table(p: int, n: int) -> np.ndarray:
-    """Entry (a, b) is the index of state a plus state b, digit-wise mod p: the
-    p x p table (i + j) % p widened one digit at a time; d x d."""
-    step = (np.arange(p)[:, None] + np.arange(p)) % p
-    table = np.zeros((1, 1), dtype=np.int64)
-    for _ in range(n):
-        table = (table[:, None, :, None] * p + step[None, :, None, :]).reshape(
-            len(table) * p, -1)
-    return table
+def _digit_sum(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is the index of the state with digits (a[i] + b[j]) mod p,
+    one digit at a time: a len(a) x len(b) x n array raised verify's peak RSS."""
+    out = np.zeros((len(a), len(b)), dtype=np.int64)
+    for j in range(a.shape[1]):
+        out *= p
+        out += (a[:, j, None] + b[:, j]) % p
+    return out
 
 
 def _generators(params: SystemParams, matrix) -> tuple[np.ndarray, np.ndarray]:
     """(perms, amps), each n x d, of the generators with exponent rows (x | z),
     phased for p = 2: generator i sends |k> to amps[i, k] |perms[i, k]>.
     The amplitudes omega^(z_i . k) come from one product of the z-block with
-    the digit table; perms[i] indexes state k plus state x_i, digit-wise mod
-    p, built one digit at a time so that no n x d x n array is formed (one
-    raised the peak resident memory of verify)."""
+    the digit table; perms[i, k] indexes state x_i plus state k."""
     p, n = params.p, params.n
     digits = lex_digits(p, n)
     m = np.array(matrix, dtype=np.int64)
@@ -84,11 +81,7 @@ def _generators(params: SystemParams, matrix) -> tuple[np.ndarray, np.ndarray]:
     amps = _roots(p)[(z @ digits.T) % p]
     if p == 2:
         amps *= np.array([1j ** int(s) for s in (x * z).sum(axis=1)])[:, None]
-    perms = np.zeros((len(m), params.dim), dtype=np.int64)
-    for j in range(n):
-        perms *= p
-        perms += (digits[:, j] + x[:, j, None]) % p
-    return perms, amps
+    return _digit_sum(p, x, digits), amps
 
 
 def _amplitudes(p: int, perms: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -135,12 +128,12 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     amplitudes. The diagonal that picks s_k needs only the zero-shift
     weights. For c > 1, _BLOCK_BYTES of columns at a time take their
     diagonal, s_k and coset sums; the amplitude table is then freed, and
-    coset u's row in column k, entry [shift_u, s_k] of the addition table,
-    places each sum. A graph class has c = 1: every diagonal entry is 1 / d,
-    so s_k = 0, and coset u is row u, so the columns are written a block of
-    rows at a time from the amplitudes at state 0, with no diagonal, coset
-    sums or addition table. Beside the finished basis, no more than about one
-    d x d array is held at a time, so memory stays O(d^2).
+    coset u's row in column k, state shift_u plus state s_k, places each sum.
+    A graph class has c = 1: every diagonal entry is 1 / d, so s_k = 0, and
+    coset u is row u, so the columns are written a block of rows at a time
+    from the amplitudes at state 0, with no diagonal or coset sums. Beside
+    the finished basis, no more than about one d x d array is held at a
+    time, so memory stays O(d^2).
 
     With check set, every column is tested against all n generator
     eigen-equations G_i v_k = omega^(k_i) v_k, read off the same table, and
@@ -193,12 +186,12 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
             w *= amp[order, s[lo:lo + step, None]]  # term t of P(k) e_(s_k)
             sums[lo:lo + step] = w.reshape(len(w), d // c, c).sum(axis=2)
         del amp, zero
-        table = _addition_table(p, n)
+        reps = xs[order[::c]]  # the shift digits of each coset's first element
         vecs = np.zeros((d, d), dtype=complex)
         for lo in range(0, d, step):  # coset u's row in column k
-            rows = table[shift[order[::c], None], s[lo:lo + step]]
+            rows = _digit_sum(p, reps, digits[s[lo:lo + step]])
             vecs[rows, k[lo:lo + step]] = sums[lo:lo + step].T
-        del table, sums
+        del sums
     norm = _column_norms(vecs)
     if norm.min() < 1e-6:
         raise ProjectorNotRankOneError("projector column is numerically zero")

@@ -10,11 +10,12 @@ import pytest
 
 import mubkit.cli
 import mubkit.complement
+import mubkit.errors
 import mubkit.stoich
 from mubkit.cli import main
-from mubkit.complement import (MEMBER_TABLE_GUARD, PROOF_MEMORY_GUARD,
-                               complement_distribution, dumps, field_spread,
+from mubkit.complement import (complement_distribution, dumps, field_spread,
                                from_json_dict, search_spreads, verify_spread)
+from mubkit.errors import MEMORY_GUARD
 from mubkit.errors import ProjectorNotRankOneError
 from mubkit.hilbert import MubBasis
 from mubkit.zplinalg import SystemParams
@@ -227,45 +228,54 @@ def test_verify_rejects_max_dim_below_one(capsys, tmp_path, max_dim):
 
 def test_verify_full_proof_memory_guard(capsys, tmp_path, monkeypatch):
     # the default guard admits every full proof up to d = 343, not d = 625
-    assert 344 * 343 ** 2 * 16 <= PROOF_MEMORY_GUARD < 626 * 625 ** 2 * 16
+    assert 345 * 343 ** 2 * 16 <= MEMORY_GUARD < 627 * 625 ** 2 * 16
     path = tmp_path / "c22.json"
     run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
-    # 5 bases of 4 x 4 complex entries hold 1280 bytes
-    monkeypatch.setattr(mubkit.cli, "PROOF_MEMORY_GUARD", 1279)
+    # 5 bases of 4 x 4 complex entries and one more for the scratch hold 1536
+    # bytes; the cover union before them needs 460
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 1535)
     code, out, err = run(capsys, "verify", "--in", str(path))
     assert code == 3 and out == ""
-    assert "5 bases at d = 4 holds 1280 bytes" in err and "--hilbert-max-dim" in err
-    # sampled proofs hold only their 6 bases and are not guarded
+    assert "a full Hilbert proof of 5 bases at d = 4 with its eigenbasis scratch would hold " \
+           "1536 bytes" in err and "lower --hilbert-max-dim below 4" in err
+    # a sampled proof keeps its bases too, and is guarded by the same count
+    code, out, err = run(capsys, "verify", "--in", str(path), "--hilbert-max-dim", "2")
+    assert code == 3 and out == ""
+    assert "a sampled Hilbert proof of 5 bases at d = 4" in err and "--hilbert-max-dim" not in err
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 1536)
+    assert run(capsys, "verify", "--in", str(path))[0] == 0
     code, out, _ = run(capsys, "verify", "--in", str(path), "--hilbert-max-dim", "2")
     assert code == 0 and "over 5 of 5 bases" in out
-    monkeypatch.setattr(mubkit.cli, "PROOF_MEMORY_GUARD", 1280)
-    assert run(capsys, "verify", "--in", str(path))[0] == 0
 
 
 def test_member_table_guard(capsys, tmp_path, monkeypatch):
-    # every benchmark file and field spread up to d = 625 stays under the guard;
-    # the largest is (2,9), 513 classes of 512 x 18 int64 entries
-    assert 513 * 512 * 18 * 8 <= MEMBER_TABLE_GUARD
+    # classify holds one member table at a time, p^n 5n int64: 320 bytes at
+    # (2,2), for a file, one generator set and the search filter alike
     path = tmp_path / "c22.json"
     run(capsys, "complement", "--p", "2", "--n", "2", "--out", str(path))
-    # 5 classes of 4 x 4 int64 entries hold 640 bytes, one class 128
-    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 639)
-    for argv in (["verify", "--in", str(path)], ["classify", "--in", str(path)]):
+    classify = [["classify", "--in", str(path)],
+                ["classify", "--generators", "XX,ZZ", "--p", "2"],
+                ["complement", "--p", "2", "--n", "2", "--method", "search", "--filter", "PI=3"]]
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 319)
+    for argv in classify:
         code, out, err = run(capsys, *argv)
-        assert code == 3 and out == "" and "need 640 bytes" in err, argv
-    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 127)
-    code, out, err = run(capsys, "classify", "--generators", "XX,ZZ", "--p", "2")
-    assert code == 3 and out == "" and "need 128 bytes" in err
-    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 128)
-    assert run(capsys, "classify", "--generators", "XX,ZZ", "--p", "2")[0] == 0
-    monkeypatch.setattr(mubkit.cli, "MEMBER_TABLE_GUARD", 640)
-    assert run(capsys, "verify", "--in", str(path))[0] == 0
-    assert run(capsys, "classify", "--in", str(path))[0] == 0
+        assert code == 3 and out == "", argv
+        assert "the member table of a group on 2 qupits at p = 2 would hold 320 bytes" in err, argv
+    # verify builds no member table; its cover union needs 6 * 2 + 14 * 4 * 8
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 3 and out == "" and "the cover union at p = 2, n = 2 would hold 460 bytes" in err
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 320)
+    for argv in classify:
+        assert run(capsys, *argv)[0] == 0, argv
     monkeypatch.undo()
-    # 24 qubits would ask for 2^24 x 48 x 8 bytes, about 6.4 GB
+    # 24 qubits would need 2^24 x 120 x 8 bytes, about 16 GB; a dependent
+    # set on 24 qubits is refused before any table, as malformed input
+    product_set = ",".join("I" * i + "Z" + "I" * (23 - i) for i in range(24))
+    code, out, err = run(capsys, "classify", "--generators", product_set, "--p", "2")
+    assert code == 3 and out == "" and "the member table of a group on 24 qupits" in err
     code, out, err = run(capsys, "classify", "--generators", ",".join(["Z" * 24] * 24),
                          "--p", "2")
-    assert code == 3 and out == "" and "member tables" in err
+    assert code == 2 and out == "" and "span only 1 dimensions" in err
 
 
 def test_complement_search_node_guard(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import mubkit.complement
-from mubkit.cli import _hilbert_checks
+import mubkit.errors
+from mubkit.cli import _hilbert_checks, main
 from mubkit.complement import (
     CheckResult,
     Complement,
@@ -597,6 +599,18 @@ def test_enumerate_lagrangians_shares_rows(monkeypatch, p, n):
         assert len({id(row) for m in got for row in m}) <= len(distinct)
 
 
+def test_enumerate_lagrangians_caches_no_form_table():
+    # the digit table of the top cell's symmetric forms, lex_digits(3, 10) at
+    # (3,4), 4.7 MB, is made for the call and dropped with the list
+    tracemalloc.start()
+    try:
+        assert len(enumerate_lagrangians(SystemParams(3, 4))) == 91_840
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+
+
 def gaussian_binomial(n, k, p):
     """[n choose k]_p, the number of k dimensional subspaces of Z_p^n."""
     num = den = 1
@@ -813,6 +827,57 @@ def test_verify_peak_memory(tmp_path, p, n, bound_mb):
     path = tmp_path / f"f{p}{n}.json"
     path.write_text(dumps(field_spread(SystemParams(p, n))))
     assert _child_peak_kb(_cli_body(["verify", "--in", str(path)])) < bound_mb * 1024
+
+
+def _one_class_file(tmp_path, p, n):
+    """A complement file of the vertical class alone: every check reads it,
+    and the cover union is as wide as a full spread's."""
+    path = tmp_path / f"one{p}{n}.json"
+    gens = [{"x": [0] * n, "z": [int(i == j) for i in range(n)]} for j in range(n)]
+    path.write_text(json.dumps({"p": p, "n": n, "classes": [{"gens": gens}]}))
+    return str(path)
+
+
+def _product_generators(n):
+    """Z on each of n qubits, one generator per qubit."""
+    return ",".join("I" * i + "Z" + "I" * (n - 1 - i) for i in range(n))
+
+
+def _exit_body(argv, want):
+    return ("import contextlib, io\n"
+            "from mubkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert main({argv!r}) == {want}\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_verify_wide_cover_union_exits_3_small(tmp_path):
+    """A one-class (2,17) file would build a cover union of 2^34 bits, 2 GiB
+    per copy; verify_spread refuses it before any mask or digit table is
+    made, so the fresh process peaks under 60 MB (near 31 MB)."""
+    argv = ["verify", "--in", _one_class_file(tmp_path, 2, 17)]
+    assert _child_peak_kb(_exit_body(argv, 3)) < 60 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("kind,size", [("verify", 12), ("verify", 13),
+                                       ("generators", 14), ("generators", 16)])
+def test_memory_guard_need_covers_measured_peak(tmp_path, capsys, monkeypatch, kind, size):
+    """The need a memory guard computes is at least what the command then
+    takes: the VmHWM of a fresh process that runs it, less that of one that
+    only imports mubkit.cli. verify on a one-class (2,12) and (2,13) file
+    counts its cover union; classify --generators on 14 and 16 qubits its
+    member table. The need is read off the guard's message at a bound of 0."""
+    if kind == "verify":  # one class fails the class count, so verify exits 1
+        argv, want = ["verify", "--in", _one_class_file(tmp_path, 2, size)], 1
+    else:
+        argv, want = ["classify", "--generators", _product_generators(size), "--p", "2"], 0
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 0)
+    assert main(argv) == 3
+    need = int(re.search(r"would hold (\d+) bytes", capsys.readouterr().err).group(1))
+    growth_kb = _child_peak_kb(_exit_body(argv, want)) - _child_peak_kb("import mubkit.cli\n")
+    assert growth_kb * 1024 <= need
 
 
 def test_search_guard():

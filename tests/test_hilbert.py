@@ -14,8 +14,8 @@ from mubkit.groups import CompatGroup, group_from_generators, lex_digits, qupit_
 from mubkit.hilbert import (
     _TIE,
     MubBasis,
-    _addition_table,
     _column_norms,
+    _digit_sum,
     _generators,
     _omega,
     _roots,
@@ -196,16 +196,21 @@ DIFF_CASES = [(2, 1), (2, 3), (3, 2), (5, 2), (7, 2), (3, 3), (2, 4), (3, 5), (2
 
 @pytest.mark.parametrize("p,n", DIFF_CASES)
 def test_addition_table_rows_match_shift_rows_oracle(p, n):
-    # eigenbasis reads coset rows off the addition table at [shifts, s]; the
-    # earlier code built every shift's row and gathered columns s from it
+    # eigenbasis sums the shift digits of the coset representatives and the
+    # digits of s; the earlier code built every shift's row and gathered
+    # columns s from it, and a later one read a whole d x d addition table
     d = p ** n
+    digits = lex_digits(p, n)
     rng = np.random.default_rng(10 * p + n)
     shifts = rng.permutation(d)
     s = rng.integers(0, d, size=d)
-    table = _addition_table(p, n)
-    assert table.shape == (d, d)
-    assert np.array_equal(table[shifts[:, None], s], _shift_rows_oracle(p, n, shifts)[:, s])
-    assert np.array_equal(table, _shift_rows_oracle(p, n, np.arange(d)))
+    rows = _digit_sum(p, digits[shifts], digits[s])
+    assert rows.shape == (d, d)
+    assert np.array_equal(rows, _shift_rows_oracle(p, n, shifts)[:, s])
+    assert np.array_equal(_digit_sum(p, digits, digits), _shift_rows_oracle(p, n, np.arange(d)))
+    # unequal lengths, as the generators and eigenbasis's column blocks take them
+    assert np.array_equal(_digit_sum(p, digits[shifts[:3]], digits[s[:5]]),
+                          _shift_rows_oracle(p, n, shifts[:3])[:, s[:5]])
 
 
 def _eigenbasis_oracle(group):
