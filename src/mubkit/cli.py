@@ -131,7 +131,10 @@ def cmd_complement(args) -> int:
             break
         if comp is None:
             target = "any spread" if filt is None else f"filter {args.filter}"
-            _err(f"search exhausted ({seen} spreads examined) without matching {target}")
+            # the loop breaks on the spread that reaches --limit
+            end = ("exhausted" if args.limit is None or seen < args.limit
+                   else f"stopped at --limit {args.limit}")
+            _err(f"search {end} ({seen} spreads examined) without matching {target}")
             return 4
     _emit(dumps(comp), args.out)
     return 0
@@ -283,6 +286,11 @@ def cmd_stoich(args) -> int:
         return 0
     sols = enumerate_solutions(table, forbid=forbid, fixes=fixes)
     labels = [l for l in table.labels if l not in forbid]
+    # the list and its rendering, per value: at (5,4), 198,379 solutions of
+    # 7 values grew VmHWM by 227 MB as text, 339 MB as json and 96 MB as csv
+    guard_memory(len(sols) * len(labels) * {"text": 200, "json": 300, "csv": 100}[args.format],
+                 f"a {args.format} listing of {len(sols)} solutions",
+                 "; count them with --count-only or narrow them with --fix")
     _render(args.format,
             lambda: {"count": len(sols), "solutions": sols},
             lambda: [labels] + [[s[l] for l in labels] for s in sols],

@@ -22,7 +22,6 @@ from .groups import (CompatGroup, MubType, classify_basis, lex_digits,
 from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
-LAGRANGIAN_GUARD = 100_000
 # search_spreads visits about 100k nodes per second on a 2-vCPU box; a
 # first hit at (2,4) takes 332, the whole (2,3) sweep 6520
 SEARCH_NODE_GUARD = 10_000_000
@@ -295,6 +294,18 @@ def lagrangian_count(params: SystemParams) -> int:
     return total
 
 
+def _enumeration_bytes(params: SystemParams) -> int:
+    """The most enumerate_lagrangians holds at once, counted as one batch and
+    2n^2 + 5n + 40 int64 per Lagrangian: 2n^2 for the forms and z-blocks of
+    its largest cell, 5n for the rows' keys, the copies that make the row
+    table and the tuple's row pointers, and 40 for its sort index, list slot,
+    tuple header and share of the row table. An enumeration's VmHWM growth
+    measured 322 to 420 bytes per Lagrangian at (5,3), (7,3), (2,5) and
+    (3,4), and 1.1 MB at (2,3)."""
+    n = params.n
+    return BATCH_BYTES + lagrangian_count(params) * (2 * n * n + 5 * n + 40) * 8
+
+
 def _subspaces(p: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Every k dimensional subspace of Z_p^n once, as its pivot columns and
     its k x n rref basis."""
@@ -324,13 +335,13 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     Each cell yields its rows as base-p keys, not as matrices. The list is
     made from the sorted keys, and equal rows share one tuple from a table of
     the distinct rows: at (2,4), 165 row tuples serve 2295 Lagrangians of
-    4 rows each.
+    4 rows each. When that would hold more than MEMORY_GUARD,
+    GuardExceededError is raised before the first cell.
     """
     p, n = params.p, params.n
     total = lagrangian_count(params)
-    if total > LAGRANGIAN_GUARD:
-        raise GuardExceededError(
-            f"{total} Lagrangians exceeds the enumeration guard {LAGRANGIAN_GUARD}")
+    guard_memory(_enumeration_bytes(params),
+                 f"an enumeration of {total} Lagrangians at p = {p}, n = {n}")
     # a row's key reads it as a base-p numeral, entry 0 most significant, so
     # rows of keys sort in the _canonical_key order of their matrices
     powers = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
@@ -402,11 +413,24 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     first. A node stops trying classes once the live ones left (those after
     the current one that miss every covered vector) can no longer cover all
     uncovered vectors; only branches that hold no spread are cut. Past
-    SEARCH_NODE_GUARD search nodes, GuardExceededError is raised.
+    SEARCH_NODE_GUARD search nodes, GuardExceededError is raised, and before
+    the enumeration when the search would hold more than MEMORY_GUARD.
     """
+    p, n = params.p, params.n
+    total = lagrangian_count(params)
+    # the enumeration, and beside it p^2n-bit ints of 4 bytes per 30 bits
+    # and a header: one per Lagrangian (its mask) and two per level of the
+    # chain (covered and tail). Then pointers: seven per Lagrangian (the
+    # masks' list, the root's live list and its ints), and per level a live
+    # list of at most every Lagrangian and a chain tuple of at most every level
+    levels = p ** n + 2
+    guard_memory(_enumeration_bytes(params)
+                 + (total + 2 * levels) * 4 * (p ** (2 * n) // 30 + 9)
+                 + 8 * (7 * total + levels * (total + levels)),
+                 f"a spread search over {total} Lagrangians at p = {p}, n = {n}")
     lagrangians = enumerate_lagrangians(params)
     masks = list(_cover_masks(params, lagrangians))
-    full = (1 << params.p ** (2 * params.n)) - 2
+    full = (1 << p ** (2 * n)) - 2
     nodes = 0
 
     def dfs(chain: tuple[int, ...], live: list[int], covered: int) -> Iterator[Complement]:

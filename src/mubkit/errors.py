@@ -42,7 +42,7 @@ class CensusViolationError(MubkitError):
 
 
 class GuardExceededError(MubkitError):
-    """A search space exceeds the configured enumeration guard."""
+    """A command would pass a guard: a size, a search-node count or MEMORY_GUARD."""
 
 
 class InfeasibleError(MubkitError):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import time
 
 import numpy as np
@@ -256,6 +257,9 @@ def test_member_table_guard(capsys, tmp_path, monkeypatch):
     classify = [["classify", "--in", str(path)],
                 ["classify", "--generators", "XX,ZZ", "--p", "2"],
                 ["complement", "--p", "2", "--n", "2", "--method", "search", "--filter", "PI=3"]]
+    # the search checks its own need (1 MB at (2,2)) before it lists a
+    # Lagrangian, so a stand-in that yields the field spread feeds the filter
+    monkeypatch.setattr(mubkit.cli, "search_spreads", lambda params: iter([field_spread(params)]))
     monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 319)
     for argv in classify:
         code, out, err = run(capsys, *argv)
@@ -287,6 +291,21 @@ def test_complement_search_node_guard(capsys, monkeypatch):
     monkeypatch.setattr(mubkit.complement, "SEARCH_NODE_GUARD", 332)
     code, out, _ = run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")
     assert code == 0 and json.loads(out)["n"] == 4
+
+
+@pytest.mark.parametrize("p,n,total", [(29, 2, 25260), (7, 3, 137600), (5, 4, 12304656),
+                                       (3, 5, 22408960), (2, 6, 4922775)])
+def test_complement_search_memory_guard_before_enumeration(capsys, monkeypatch, p, n, total):
+    # the masks alone would take 2273 MB at (29,2) and 2063 MB at (7,3)
+    def enumerate_lagrangians(params):
+        raise AssertionError("enumerated past the memory guard")
+    monkeypatch.setattr(mubkit.complement, "enumerate_lagrangians", enumerate_lagrangians)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complement", "--p", str(p), "--n", str(n), "--method", "search")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert re.search(f"a spread search over {total} Lagrangians at p = {p}, n = {n} "
+                     r"would hold \d+ bytes", err)
 
 
 def test_complement_rejects_bad_params(capsys):
@@ -395,14 +414,15 @@ def test_complement_search_filter_matches_per_spread_oracle(capsys):
         assert (code, out, err) == (0, want[text], "")
 
 
-@pytest.mark.parametrize("argv,examined", [
-    (["--p", "2", "--n", "3", "--filter", "PI=1,SB=7"], 960),
-    (["--p", "3", "--n", "3", "--limit", "50", "--filter", "PI=0"], 50),
-], ids=["exhausted", "limit"])
-def test_complement_search_filter_counts_every_spread(capsys, argv, examined):
+@pytest.mark.parametrize("argv,end,examined", [
+    (["--p", "2", "--n", "3", "--filter", "PI=1,SB=7"], "exhausted", 960),
+    (["--p", "3", "--n", "3", "--limit", "50", "--filter", "PI=0"], "stopped at --limit 50", 50),
+    (["--p", "2", "--n", "3", "--limit", "1000", "--filter", "PI=1,SB=7"], "exhausted", 960),
+], ids=["exhausted", "limit", "exhausted-under-limit"])
+def test_complement_search_filter_counts_every_spread(capsys, argv, end, examined):
     code, out, err = run(capsys, "complement", "--method", "search", *argv)
     assert code == 4 and out == ""
-    assert f"({examined} spreads examined)" in err
+    assert f"error: search {end} ({examined} spreads examined) without matching filter " in err
 
 
 @pytest.mark.parametrize("extra,word", [

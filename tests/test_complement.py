@@ -469,7 +469,7 @@ def test_distribution_field_goldens():
 
 
 @pytest.mark.parametrize("p,n,count", [(2, 2, 15), (3, 2, 40), (2, 3, 135),
-                                       (3, 3, 1120), (2, 4, 2295)])
+                                       (3, 3, 1120), (2, 4, 2295), (7, 3, 137600)])
 def test_enumerate_lagrangians_counts(p, n, count):
     assert lagrangian_count(SystemParams(p, n)) == count
     mats = enumerate_lagrangians(SystemParams(p, n))
@@ -491,15 +491,21 @@ def test_enumerated_lagrangians_are_lagrangian():
 
 
 def test_enumerate_guard(monkeypatch):
-    with pytest.raises(GuardExceededError):
+    """enumerate_lagrangians checks what it will hold against MEMORY_GUARD
+    before its first cell: (5,4)'s 12.3 million Lagrangians need 8638 MB."""
+    with pytest.raises(GuardExceededError, match="an enumeration of 12304656 Lagrangians"):
         enumerate_lagrangians(SystemParams(5, 4))
-    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_GUARD", 100)
-    with pytest.raises(GuardExceededError, match="135 Lagrangians exceeds the enumeration guard 100"):
-        enumerate_lagrangians(SystemParams(2, 3))
-    with pytest.raises(GuardExceededError):
-        next(search_spreads(SystemParams(2, 3)))
-    monkeypatch.setattr(mubkit.complement, "LAGRANGIAN_GUARD", 135)
-    assert len(enumerate_lagrangians(SystemParams(2, 3))) == 135
+    params = SystemParams(2, 3)
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 0)
+    with pytest.raises(GuardExceededError) as info:
+        enumerate_lagrangians(params)
+    need = int(re.search(r"would hold (\d+) bytes", str(info.value)).group(1))
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", need - 1)
+    with pytest.raises(GuardExceededError,
+                       match=f"an enumeration of 135 Lagrangians at p = 2, n = 3 would hold {need}"):
+        enumerate_lagrangians(params)
+    monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", need)
+    assert len(enumerate_lagrangians(params)) == 135
 
 
 def lagrangian_oracle(params):
@@ -862,17 +868,26 @@ def test_verify_wide_cover_union_exits_3_small(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("kind,size", [("verify", 12), ("verify", 13),
-                                       ("generators", 14), ("generators", 16)])
+                                       ("generators", 14), ("generators", 16),
+                                       ("search", 13), ("search", 17),
+                                       ("stoich", "text"), ("stoich", "json"),
+                                       ("stoich", "csv")])
 def test_memory_guard_need_covers_measured_peak(tmp_path, capsys, monkeypatch, kind, size):
     """The need a memory guard computes is at least what the command then
     takes: the VmHWM of a fresh process that runs it, less that of one that
     only imports mubkit.cli. verify on a one-class (2,12) and (2,13) file
     counts its cover union; classify --generators on 14 and 16 qubits its
-    member table. The need is read off the guard's message at a bound of 0."""
+    member table; a first spread at (13,2) and (17,2) its masks, chain and
+    Lagrangians; the (5,4) stoich listing, in each format, its solutions and
+    their rendering. The need is read off the guard's message at a bound of 0."""
     if kind == "verify":  # one class fails the class count, so verify exits 1
         argv, want = ["verify", "--in", _one_class_file(tmp_path, 2, size)], 1
-    else:
+    elif kind == "generators":
         argv, want = ["classify", "--generators", _product_generators(size), "--p", "2"], 0
+    elif kind == "search":
+        argv, want = ["complement", "--p", str(size), "--n", "2", "--method", "search"], 0
+    else:
+        argv, want = ["stoich", "--p", "5", "--n", "4", "--format", size], 0
     monkeypatch.setattr(mubkit.errors, "MEMORY_GUARD", 0)
     assert main(argv) == 3
     need = int(re.search(r"would hold (\d+) bytes", capsys.readouterr().err).group(1))
