@@ -349,9 +349,7 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     for k in range(n + 1):
         upper = np.triu_indices(k)
         forms = np.zeros((p ** len(upper[0]), k, k), dtype=np.int64)
-        # this one-off table would stay in lex_digits's cache for the process
-        forms[:, upper[0], upper[1]] = forms[:, upper[1], upper[0]] = lex_digits.__wrapped__(
-            p, len(upper[0]))
+        forms[:, upper[0], upper[1]] = forms[:, upper[1], upper[0]] = lex_digits(p, len(upper[0]))
         for pivots, basis in _subspaces(p, n, k):
             _, null = solve_affine(basis.tolist(), [0] * k, n, p)  # spans U^perp
             perp, q = rref(null, p)
@@ -363,6 +361,7 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
             cell[:, :k] = basis @ powers[:n] + z @ powers[n:]
             cell[:, k:] = perp @ powers[n:]
             keys.append(cell)
+    del forms, z, cell  # the largest cell's, which the list no longer needs
     keys = np.concatenate(keys)
     order = np.lexsort(keys.T[::-1])  # lexsort keys on the last column first
     # one tuple per distinct row, shared by every Lagrangian that holds it
@@ -412,7 +411,9 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     indices, so spreads come out in lex order and the lex-first spread comes
     first. A node stops trying classes once the live ones left (those after
     the current one that miss every covered vector) can no longer cover all
-    uncovered vectors; only branches that hold no spread are cut. Past
+    uncovered vectors; only branches that hold no spread are cut. The search
+    is one loop over a stack of levels, one per class of the chain, so the
+    p^n + 2 levels of an n = 1 search need no Python frame each. Past
     SEARCH_NODE_GUARD search nodes, GuardExceededError is raised, and before
     the enumeration when the search would hold more than MEMORY_GUARD.
     """
@@ -420,9 +421,10 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     total = lagrangian_count(params)
     # the enumeration, and beside it p^2n-bit ints of 4 bytes per 30 bits
     # and a header: one per Lagrangian (its mask) and two per level of the
-    # chain (covered and tail). Then pointers: seven per Lagrangian (the
-    # masks' list, the root's live list and its ints), and per level a live
-    # list of at most every Lagrangian and a chain tuple of at most every level
+    # chain (covered, and a tail that only the level being scanned holds, so
+    # this counts more than is held). Then pointers: seven per Lagrangian
+    # (the masks' list, the root's live list and its ints), and per level a
+    # live list of at most every Lagrangian and one more chain entry
     levels = p ** n + 2
     guard_memory(_enumeration_bytes(params)
                  + (total + 2 * levels) * 4 * (p ** (2 * n) // 30 + 9)
@@ -432,9 +434,12 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     masks = list(_cover_masks(params, lagrangians))
     full = (1 << p ** (2 * n)) - 2
     nodes = 0
-
-    def dfs(chain: tuple[int, ...], live: list[int], covered: int) -> Iterator[Complement]:
-        nonlocal nodes
+    # one level per class of the chain: its live list, its covered int and
+    # the branches on it left to try
+    stack: list[tuple[list[int], int, Iterator[int]]] = []
+    chain: list[int] = []
+    live, covered = list(range(len(lagrangians))), 0
+    while True:
         nodes += 1
         if nodes > SEARCH_NODE_GUARD:
             raise GuardExceededError(
@@ -442,22 +447,25 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
         if covered == full:
             # the chain rises through the canonical list, so it is sorted
             yield Complement(params, tuple(CompatGroup(params, lagrangians[i]) for i in chain))
+        else:
+            # a branch on live[j] can end in a spread only if covered and the
+            # classes live[j:] reach full, that is only for j <= stop
+            stop, tail = len(live), covered
+            while tail != full and stop:
+                stop -= 1
+                tail |= masks[live[stop]]
+            if tail == full:
+                stack.append((live, covered, iter(range(stop + 1))))
+            del tail
+        # the next branch, from the deepest level that has one left
+        while stack and (j := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
             return
-        # a branch on live[j] can end in a spread only if covered and the
-        # classes live[j:] reach full, that is only for j <= stop
-        stop, tail = len(live), covered
-        while tail != full:
-            if not stop:
-                return
-            stop -= 1
-            tail |= masks[live[stop]]
-        for j in range(stop + 1):
-            ci = live[j]
-            mask = masks[ci]
-            yield from dfs(chain + (ci,), [c for c in live[j + 1:] if not masks[c] & mask],
-                           covered | mask)
-
-    yield from dfs((), list(range(len(lagrangians))), 0)
+        live, covered, _ = stack[-1]
+        chain[len(stack) - 1:] = [live[j]]
+        mask = masks[live[j]]
+        live, covered = [c for c in live[j + 1:] if not masks[c] & mask], covered | mask
 
 
 # ---------------------------------------------------------------------------

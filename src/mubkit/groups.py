@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -19,19 +19,16 @@ import numpy as np
 from .errors import (DependentGeneratorsError, NonCommutingError,
                      TheoremViolationError, guard_memory)
 from .pauli import PauliOp, symplectic_form, symplectic_form_vec
-from .zplinalg import Mat, SystemParams, Vec, reduce_vector, rref
+from .zplinalg import Mat, SystemParams, Vec, rref
 
 MUB_LABELS = ("PI", "B", "SB", "G3", "S2B", "SG3", "BB", "G4", "C4", "P4", "OTHER")
 
 
-@cache
 def lex_digits(p: int, n: int) -> np.ndarray:
     """All p^n digit tuples in lexicographic order, digit 0 most significant,
-    as a read-only int64 array of shape (p^n, n). Row e holds the generator
+    as a new int64 array of shape (p^n, n). Row e holds the generator
     exponents of group member e and the digits of state index e."""
-    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, p ** n).T.copy()
-    digits.flags.writeable = False
-    return digits
+    return np.indices((p,) * n, dtype=np.int64).reshape(n, p ** n).T
 
 
 @dataclass(frozen=True)
@@ -197,18 +194,15 @@ def classify_basis(group: CompatGroup) -> MubType:
 
 
 def random_lagrangian(params: SystemParams, rng: random.Random) -> CompatGroup:
-    """A random compatibility group, by rejection sampled isotropic extension."""
+    """A uniformly random compatibility group, by rejection sampled isotropic
+    extension: every i - 1 independent isotropic rows admit p^(2n-i+1) - p^(i-1)
+    vectors as row i."""
     p, n = params.p, params.n
     rows: list[Vec] = []
-    mat: Mat = ()
-    pivots: Vec = ()
-    zero = (0,) * (2 * n)
     while len(rows) < n:
         v = tuple(rng.randrange(p) for _ in range(2 * n))
-        if reduce_vector(v, mat, pivots, p) == zero:
-            continue
         if any(symplectic_form_vec(v, r, p) for r in rows):
             continue
-        rows.append(v)
-        mat, pivots = rref(rows, p)
-    return CompatGroup(params, mat)
+        if len(rref(rows + [v], p)[1]) > len(rows):  # v extends the span
+            rows.append(v)
+    return CompatGroup(params, rref(rows, p)[0])

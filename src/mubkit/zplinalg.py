@@ -91,16 +91,6 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Mat, Vec]:
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def reduce_vector(vec: Sequence[int], mat: Mat, pivots: Vec, p: int) -> Vec:
-    """Reduce vec against an rref matrix; the result is 0 iff vec is in the span."""
-    v = [x % p for x in vec]
-    for row, c in zip(mat, pivots):
-        f = v[c]
-        if f:
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return tuple(v)
-
-
 def nullspace(rows: Iterable[Sequence[int]], ncols: int, p: int) -> Mat:
     """Basis of the right nullspace {v : rows @ v = 0 mod p}."""
     red, pivots = rref(rows, p)

@@ -753,6 +753,21 @@ def test_search_matches_chain_oracle(p, n, take, total):
             assert complement_distribution(comp).counts == {"PI": p + 1, "B": p * p - p}
 
 
+def test_search_depth_is_not_bound_by_recursion_limit():
+    # a (61,1) chain is 63 levels deep; the search takes no frame per level
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        comp = next(search_spreads(SystemParams(61, 1)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(comp.classes) == 62
+    assert verify_spread(comp).ok
+
+
 def test_search_limit():
     params = SystemParams(2, 2)
     assert len(list(islice(search_spreads(params), 1))) == 1

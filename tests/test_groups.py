@@ -23,9 +23,9 @@ from mubkit.groups import (
     type_rows,
     validate_generators,
 )
-from mubkit.pauli import PauliOp, parse_pauli, symplectic_form
+from mubkit.pauli import PauliOp, parse_pauli, symplectic_form, symplectic_form_vec
 from mubkit.stoich import profile_table
-from mubkit.zplinalg import SystemParams
+from mubkit.zplinalg import SystemParams, rref
 
 
 def _op(x, z):
@@ -126,13 +126,10 @@ def test_enumerate_spec_examples():
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2)])
-def test_lex_digits_shared_read_only_table(p, n):
+def test_lex_digits_table(p, n):
     digits = lex_digits(p, n)
     assert digits.dtype == np.int64 and digits.shape == (p ** n, n)
     assert digits.tolist() == [list(e) for e in product(range(p), repeat=n)]
-    assert lex_digits(p, n) is digits and not digits.flags.writeable
-    with pytest.raises(ValueError):
-        digits[0, 0] = 1
     # member row e is exponent tuple e applied to the generator rows
     g = random_lagrangian(SystemParams(p, n), random.Random(p * 10 + n))
     gens = np.array(g.matrix, dtype=np.int64)
@@ -488,6 +485,39 @@ def test_random_lagrangian_is_isotropic(p, n):
         x, z = m[:, :n], m[:, n:]
         forms = (x @ z.T - z @ x.T) % p
         assert not forms.any()
+
+
+def _random_lagrangian_oracle(params, rng):
+    """The earlier rejection loop: a draw is kept when it reduces to a nonzero
+    vector against the rref of the rows so far and is isotropic to them."""
+    p, n = params.p, params.n
+    rows, mat, pivots = [], (), ()
+    while len(rows) < n:
+        v = tuple(rng.randrange(p) for _ in range(2 * n))
+        w = list(v)
+        for row, c in zip(mat, pivots):
+            f = w[c]
+            if f:
+                w = [(a - f * b) % p for a, b in zip(w, row)]
+        if not any(w) or any(symplectic_form_vec(v, r, p) for r in rows):
+            continue
+        rows.append(v)
+        mat, pivots = rref(rows, p)
+    return mat
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4),
+                                 (5, 3), (2, 5), (7, 2)])
+def test_random_lagrangian_matches_reduction_oracle(p, n):
+    # the same draws are kept, so each seed gives the same groups and leaves
+    # the generator in the same state
+    params = SystemParams(p, n)
+    for seed in range(3):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            assert random_lagrangian(params, rng).matrix == _random_lagrangian_oracle(
+                params, oracle_rng)
+        assert rng.random() == oracle_rng.random()
 
 
 def test_profile_sums():
