@@ -14,7 +14,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import asdict
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -116,7 +116,7 @@ def cmd_complement(args) -> int:
         comp = None
         seen = 0
         labels = {}  # class matrix -> label; spreads share their classes
-        for cand in search_spreads(params):
+        for cand in islice(search_spreads(params), args.limit):
             seen += 1
             if filt is not None:
                 for cls in cand.classes:
@@ -124,14 +124,12 @@ def cmd_complement(args) -> int:
                         labels[cls.matrix] = classify_basis(cls).label
                 counts = Counter(labels[cls.matrix] for cls in cand.classes)
                 if any(counts.get(k, 0) != v for k, v in filt.items()):
-                    if args.limit is not None and seen >= args.limit:
-                        break
                     continue
             comp = cand
             break
         if comp is None:
             target = "any spread" if filt is None else f"filter {args.filter}"
-            # the loop breaks on the spread that reaches --limit
+            # islice ends the loop on the spread that reaches --limit
             end = ("exhausted" if args.limit is None or seen < args.limit
                    else f"stopped at --limit {args.limit}")
             _err(f"search {end} ({seen} spreads examined) without matching {target}")

@@ -16,15 +16,13 @@ from typing import Iterator
 
 import numpy as np
 
+from . import errors
 from .errors import CensusViolationError, GuardExceededError, MubkitError, guard_memory
-from .groups import (CompatGroup, MubType, classify_basis, lex_digits,
+from .groups import (CompatGroup, MubType, _member_keys, classify_basis, lex_digits,
                      qupit_factor_distribution)
 from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
-# search_spreads visits about 100k nodes per second on a 2-vCPU box; a
-# first hit at (2,4) takes 332, the whole (2,3) sweep 6520
-SEARCH_NODE_GUARD = 10_000_000
 # bytes per block when enumerate_lagrangians makes its tuples (counted as
 # 2n^2 int64 per Lagrangian, about what its list of row keys takes; 4096
 # Lagrangians at (3,4)) and _cover_masks its masks (a p^n x 2n int64
@@ -125,36 +123,28 @@ def _in_rref(m: np.ndarray, p: int) -> np.ndarray:
             & (pivots == np.eye(rows, dtype=np.int64)).all(axis=(1, 2)))
 
 
-def _class_fault(idx: int, rows: Mat, p: int, n: int) -> str | None:
-    """Why one class is not a Lagrangian in canonical rref form, if it is not."""
-    red, pivots = rref(rows, p)
-    if len(rows) != n or len(pivots) != n:
-        return f"class {idx}: rank"
-    if red != rows:
-        return f"class {idx}: not in canonical rref form"
-    m = np.array(rows, dtype=np.int64)
-    if ((m[:, :n] @ m[:, n:].T - m[:, n:] @ m[:, :n].T) % p).any():
-        return f"class {idx}: not isotropic"
-    return None
-
-
 def first_bad_class(c: Complement) -> str | None:
     """The first class that is not a Lagrangian in canonical rref form, as
     "class i: rank", "class i: not in canonical rref form" or
     "class i: not isotropic"; None when every class is one. Form (and with
-    it rank n) and isotropy are tested on whole class stacks; only a class
-    that fails there is reduced on its own, to word the verdict."""
+    it rank n) and isotropy are tested on whole class stacks; only the first
+    class out of form is reduced on its own, to tell rank from form."""
     p, n = c.params.p, c.params.n
     matrices = [cls.matrix for cls in c.classes]
     for lo, m in _class_stacks(c.params, matrices):
         x, z = m[:, :, :n], m[:, :, n:]
         form = x @ z.swapaxes(1, 2) - z @ x.swapaxes(1, 2)
         form %= p
-        good = _in_rref(m, p) & ~form.any(axis=(1, 2))
-        for idx in lo + np.flatnonzero(~good):
-            fault = _class_fault(int(idx), matrices[idx], p, n)
-            if fault:
-                return fault
+        canonical = _in_rref(m, p)
+        bad = np.flatnonzero(~canonical | form.any(axis=(1, 2)))
+        if len(bad):
+            idx = lo + int(bad[0])
+            rows = matrices[idx]
+            if canonical[bad[0]]:
+                return f"class {idx}: not isotropic"
+            if len(rows) != n or len(rref(rows, p)[1]) != n:
+                return f"class {idx}: rank"
+            return f"class {idx}: not in canonical rref form"
     return None
 
 
@@ -189,9 +179,8 @@ def verify_spread(c: Complement) -> SpreadReport:
     collision = None
     if first is not None:
         # the lowest key it shares, from member key sets, not p^2n-bit ints
-        own = set(_member_keys(c.params, matrices[first:first + 1])[0].tolist()) - {0}
-        shared = [own.intersection(_member_keys(c.params, [m])[0].tolist())
-                  for m in matrices[:first]]
+        own = set(_member_keys(c.params, matrices[first]).tolist()) - {0}
+        shared = [own.intersection(_member_keys(c.params, m).tolist()) for m in matrices[:first]]
         key = min(min(s) for s in shared if s)
         collision = (next(j for j, s in enumerate(shared) if key in s), first, key)
     checks.append(CheckResult(
@@ -377,13 +366,6 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     return out
 
 
-def _member_keys(params: SystemParams, lagrangians: list[Mat]) -> np.ndarray:
-    """The base-p keys of the p^n members of each Lagrangian, one row each."""
-    p, n = params.p, params.n
-    gens = np.array(lagrangians, dtype=np.int64)
-    return (lex_digits(p, n) @ gens) % p @ (p ** np.arange(2 * n, dtype=np.int64))
-
-
 def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> Iterator[int]:
     """Each Lagrangian's nonzero member keys as one int, bit k for key k.
 
@@ -414,7 +396,7 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     uncovered vectors; only branches that hold no spread are cut. The search
     is one loop over a stack of levels, one per class of the chain, so the
     p^n + 2 levels of an n = 1 search need no Python frame each. Past
-    SEARCH_NODE_GUARD search nodes, GuardExceededError is raised, and before
+    errors.NODE_GUARD search nodes, GuardExceededError is raised, and before
     the enumeration when the search would hold more than MEMORY_GUARD.
     """
     p, n = params.p, params.n
@@ -430,6 +412,7 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
                  + (total + 2 * levels) * 4 * (p ** (2 * n) // 30 + 9)
                  + 8 * (7 * total + levels * (total + levels)),
                  f"a spread search over {total} Lagrangians at p = {p}, n = {n}")
+    guard = errors.NODE_GUARD
     lagrangians = enumerate_lagrangians(params)
     masks = list(_cover_masks(params, lagrangians))
     full = (1 << p ** (2 * n)) - 2
@@ -441,9 +424,8 @@ def search_spreads(params: SystemParams) -> Iterator[Complement]:
     live, covered = list(range(len(lagrangians))), 0
     while True:
         nodes += 1
-        if nodes > SEARCH_NODE_GUARD:
-            raise GuardExceededError(
-                f"spread search passed the node guard {SEARCH_NODE_GUARD}")
+        if nodes > guard:
+            raise GuardExceededError(f"spread search passed the node guard {guard}")
         if covered == full:
             # the chain rises through the canonical list, so it is sorted
             yield Complement(params, tuple(CompatGroup(params, lagrangians[i]) for i in chain))

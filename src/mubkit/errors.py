@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one memory guard."""
+"""Exception types shared across the package, the one memory guard and the one
+search-node guard."""
 
 from __future__ import annotations
 
@@ -52,6 +53,11 @@ class InfeasibleError(MubkitError):
 # the most bytes one command may hold; each array or int that grows with d is
 # checked against it by guard_memory where it is made
 MEMORY_GUARD = 1 << 30
+# the most nodes one spread or stoich search may visit, read when it starts.
+# The spread search visits about 100k nodes per second on a 2-vCPU box (a
+# first hit at (2,4) takes 332, the whole (2,3) sweep 6520), the stoich DFS
+# about 300k (counting (5,4) takes 598,352, (3,4) 18,566)
+NODE_GUARD = 10_000_000
 
 
 def guard_memory(need: int, what: str, hint: str = "") -> None:

@@ -42,16 +42,27 @@ class CompatGroup:
     def members(self) -> np.ndarray:
         """All p^n member vectors, lexicographic in the exponent tuple; a
         reference table that nothing in mubkit reads."""
-        p, n = self.params.p, self.params.n
-        gens = np.array(self.matrix, dtype=np.int64).reshape(n, 2 * n)
-        return (lex_digits(p, n) @ gens) % p
+        return _member_table(self.params, self.matrix)
 
     @cached_property
     def member_keys(self) -> frozenset[int]:
         """Base-p keys of all members; a reference set that nothing in mubkit reads."""
-        p, n = self.params.p, self.params.n
-        powers = p ** np.arange(2 * n, dtype=np.int64)
-        return frozenset(int(k) for k in self.members @ powers)
+        return frozenset(_member_keys(self.params, self.matrix).tolist())
+
+
+def _member_table(params: SystemParams, matrices) -> np.ndarray:
+    """Row e of a generator matrix's table is member e, lex_digits row e times
+    the generators mod p; a stack of k matrices gives k tables. The remainder
+    is taken in place, so the product is the one table-sized array made."""
+    table = lex_digits(params.p, params.n) @ np.asarray(matrices, dtype=np.int64)
+    table %= params.p
+    return table
+
+
+def _member_keys(params: SystemParams, matrices) -> np.ndarray:
+    """The base-p keys of the members, entry 0 least significant: one row per
+    matrix of a stack."""
+    return _member_table(params, matrices) @ params.p ** np.arange(2 * params.n, dtype=np.int64)
 
 
 def validate_generators(params: SystemParams, gens: list[PauliOp] | tuple[PauliOp, ...]) -> Mat:
@@ -80,8 +91,7 @@ def _support_counts(group: CompatGroup) -> np.ndarray:
     copy and boolean masks, under 5n int64 per member in all."""
     p, n = group.params.p, group.params.n
     guard_memory(p ** n * 5 * n * 8, f"the member table of a group on {n} qupits at p = {p}")
-    m = lex_digits(p, n) @ np.array(group.matrix, dtype=np.int64).reshape(n, 2 * n)
-    m %= p
+    m = _member_table(group.params, group.matrix)
     support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
     return np.bincount(support, minlength=1 << n)
 

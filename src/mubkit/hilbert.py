@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectorNotRankOneError, SameGroupError
-from .groups import CompatGroup, lex_digits
+from .groups import CompatGroup, _member_table, lex_digits
 from .pauli import PauliOp
 from .zplinalg import SystemParams
 
@@ -148,7 +148,7 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     digits = lex_digits(p, n)
     perms, gens = _generators(params, group.matrix)
     amp = _amplitudes(p, perms, gens)  # G_t |s> = amp[t, s] |s + shift_t>
-    xs = (digits @ np.array(group.matrix, dtype=np.int64)[:, :n]) % p
+    xs = _member_table(params, group.matrix)[:, :n]
     shift = np.ravel_multi_index(xs.T, (p,) * n)
     order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
     c = int(np.count_nonzero(shift == 0))

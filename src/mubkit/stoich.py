@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb, gcd
 from operator import itemgetter
 
+from . import errors
 from .errors import GuardExceededError, InfeasibleError, MubkitError
 from .groups import type_rows
 from .zplinalg import SystemParams
@@ -22,9 +23,6 @@ from .zplinalg import SystemParams
 # computation; re-derived by the solver in the test suite
 P3_N4_FULL_SOLUTION_COUNT = 6005
 P5_N4_FULL_SOLUTION_COUNT = 198379
-# DFS nodes one solution search may visit; about 300k per second on a 2-vCPU
-# box. Counting (5,4) visits 598,352, (3,4) 18,566
-STOICH_NODE_GUARD = 10_000_000
 
 
 @dataclass
@@ -80,7 +78,7 @@ def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
     Whenever no later label can still feed an equation, that equation pins the
     current label exactly, so trailing variables are determined, not searched.
     As entries are nonnegative and the total row is all ones, each label is
-    bounded by hi and no residual goes negative. Past STOICH_NODE_GUARD
+    bounded by hi and no residual goes negative. Past errors.NODE_GUARD
     nodes, GuardExceededError is raised.
     """
     labels, coeffs, rhs, fixed = _system(table, tuple(forbid), fixes or {})
@@ -90,13 +88,13 @@ def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
                   for i in range(m)] for e in range(neq)]
     acc = [0] * m
     nodes = 0
+    guard = errors.NODE_GUARD
 
     def rec(i: int, residuals: list[int]):
         nonlocal nodes
         nodes += 1
-        if nodes > STOICH_NODE_GUARD:
-            raise GuardExceededError(
-                f"stoich search passed the node guard {STOICH_NODE_GUARD}")
+        if nodes > guard:
+            raise GuardExceededError(f"stoich search passed the node guard {guard}")
         if i == m:
             if all(v == 0 for v in residuals):
                 yield dict(zip(labels, acc))

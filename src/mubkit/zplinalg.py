@@ -157,6 +157,11 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+def _digits(k: int, p: int, count: int) -> Vec:
+    """The count lowest base-p digits of k, least significant first."""
+    return tuple(k // p ** i % p for i in range(count))
+
+
 class ExtField:
     """GF(p^degree) in the polynomial basis {1, x, ..., x^(degree-1)}.
 
@@ -186,24 +191,16 @@ class ExtField:
     @staticmethod
     def _find_modulus(p: int, degree: int) -> Vec:
         for k in range(p ** degree):
-            coeffs = []
-            kk = k
-            for _ in range(degree):
-                coeffs.append(kk % p)
-                kk //= p
-            if _is_irreducible(coeffs + [1], p):
-                return tuple(coeffs)
+            coeffs = _digits(k, p, degree)
+            if _is_irreducible([*coeffs, 1], p):
+                return coeffs
         raise RuntimeError("unreachable: irreducible polynomials exist for every degree")
 
     # elements are coefficient tuples of length degree, low degree first
 
     def element(self, index: int) -> Vec:
         """The index-th element, digits of index base p, constant coefficient first."""
-        coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(index % self.p)
-            index //= self.p
-        return tuple(coeffs)
+        return _digits(index, self.p, self.degree)
 
     def elements(self) -> Iterable[Vec]:
         for k in range(self.order):

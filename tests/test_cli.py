@@ -12,7 +12,6 @@ import pytest
 import mubkit.cli
 import mubkit.complement
 import mubkit.errors
-import mubkit.stoich
 from mubkit.cli import main
 from mubkit.complement import (complement_distribution, dumps, field_spread,
                                from_json_dict, search_spreads, verify_spread)
@@ -284,11 +283,11 @@ def test_member_table_guard(capsys, tmp_path, monkeypatch):
 
 def test_complement_search_node_guard(capsys, monkeypatch):
     # the first spread at (2,4) is reached at search node 332
-    monkeypatch.setattr(mubkit.complement, "SEARCH_NODE_GUARD", 331)
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 331)
     code, out, err = run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")
     assert code == 3 and out == ""
     assert "spread search passed the node guard 331" in err
-    monkeypatch.setattr(mubkit.complement, "SEARCH_NODE_GUARD", 332)
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 332)
     code, out, _ = run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")
     assert code == 0 and json.loads(out)["n"] == 4
 
@@ -351,10 +350,24 @@ def test_param_guard_exits_fast(capsys, tmp_path, argv):
 ], ids=["count-101-4", "minimize-101-4", "count-maxp-3", "table-I-maxp"])
 def test_stoich_node_guard_exit(capsys, monkeypatch, argv):
     # each of these walks far more DFS nodes than any guard admits
-    monkeypatch.setattr(mubkit.stoich, "STOICH_NODE_GUARD", 1000)
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 1000)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert "stoich search passed the node guard 1000" in err
+
+
+def test_one_node_guard_bounds_both_searches(capsys, monkeypatch):
+    # a (2,4) first hit takes 332 spread search nodes, counting (3,4) 18,566
+    # stoich nodes
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 331)
+    code, out, err = run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")
+    assert (code, out) == (3, "") and "spread search passed the node guard 331" in err
+    code, out, err = run(capsys, "stoich", "--p", "3", "--n", "4", "--count-only")
+    assert (code, out) == (3, "") and "stoich search passed the node guard 331" in err
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_566)
+    assert run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")[0] == 0
+    code, out, _ = run(capsys, "stoich", "--p", "3", "--n", "4", "--count-only")
+    assert code == 0 and "6005" in out
 
 
 def test_complement_search_2_5(capsys, tmp_path):
@@ -418,7 +431,10 @@ def test_complement_search_filter_matches_per_spread_oracle(capsys):
     (["--p", "2", "--n", "3", "--filter", "PI=1,SB=7"], "exhausted", 960),
     (["--p", "3", "--n", "3", "--limit", "50", "--filter", "PI=0"], "stopped at --limit 50", 50),
     (["--p", "2", "--n", "3", "--limit", "1000", "--filter", "PI=1,SB=7"], "exhausted", 960),
-], ids=["exhausted", "limit", "exhausted-under-limit"])
+    # (2,2) has 6 spreads, none with PI=0
+    (["--p", "2", "--n", "2", "--filter", "PI=0", "--limit", "6"], "stopped at --limit 6", 6),
+    (["--p", "2", "--n", "2", "--filter", "PI=0", "--limit", "7"], "exhausted", 6),
+], ids=["exhausted", "limit", "exhausted-under-limit", "limit-at-last", "limit-past-last"])
 def test_complement_search_filter_counts_every_spread(capsys, argv, end, examined):
     code, out, err = run(capsys, "complement", "--method", "search", *argv)
     assert code == 4 and out == ""

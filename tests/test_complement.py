@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,10 @@ from mubkit.complement import (
 )
 from mubkit.errors import (CensusViolationError, GuardExceededError, MubkitError,
                            TheoremViolationError)
-from mubkit.groups import CompatGroup, lex_digits, qupit_factor_distribution
+from mubkit.groups import (CompatGroup, _member_table, classify_basis, lex_digits,
+                           qupit_factor_distribution, type_rows)
 from mubkit.pauli import symplectic_form_vec
+from mubkit.stoich import profile_table
 from mubkit.zplinalg import SystemParams, rref, solve_affine
 
 def rank(rows, p):
@@ -386,9 +388,14 @@ def _mutate(matrix, kind, p, n):
         m[0] = [(a + b) % p for a, b in zip(m[0], m[-1])]
     elif kind == "rank-deficient":
         m[-1] = m[0]
-    elif kind == "non-isotropic":  # (I | S) with S off symmetric at (0, 1)
+    elif kind in ("non-isotropic", "swapped-non-isotropic"):
+        # (I | S) with S off symmetric at (0, 1); swapped, out of form as well
         m = [[int(r == c) for c in range(n)] + [0] * n for r in range(n)]
         m[0][n + 1] = 1
+        if kind == "swapped-non-isotropic":
+            m[0], m[-1] = m[-1], m[0]
+    elif kind == "short":  # one generator fewer than n
+        m = m[:-1]
     elif kind == "zero-column":  # qupit 0 has no local factor
         for row in m:
             row[0] = row[n] = 0
@@ -396,14 +403,16 @@ def _mutate(matrix, kind, p, n):
 
 
 STACK_KINDS = ("canonical", "row-swapped", "unreduced", "rank-deficient", "non-isotropic",
-               "zero-column")
+               "zero-column", "swapped-non-isotropic", "short")
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 4)])
 def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
-    # one or two classes changed per file, as one kind or two kinds, read at
-    # the default BATCH_BYTES, at three classes and at one class per stack (a
-    # stack takes an eighth of BATCH_BYTES)
+    # one or two classes changed per file, as one kind or two kinds, and the
+    # four faults that each verdict must outrank (out of form and not
+    # isotropic, canonical and not isotropic, rank-deficient, short) together
+    # in every order, read at the default BATCH_BYTES, at three classes and
+    # at one class per stack (a stack takes an eighth of BATCH_BYTES)
     params = SystemParams(p, n)
     base = [cls.matrix for cls in field_spread(params).classes]
     rng = np.random.default_rng(10 * p + n)
@@ -415,6 +424,12 @@ def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
             mats[j] = _mutate(mats[j], kind, p, n)
             mats[i] = _mutate(mats[i], other, p, n)
             files.append(mats)
+    for kinds in permutations(("swapped-non-isotropic", "non-isotropic", "rank-deficient",
+                               "short")):
+        mats = list(base)
+        for i, kind in zip((0, 1, 3, 4), kinds):
+            mats[i] = _mutate(mats[i], kind, p, n)
+        files.append(mats)
     verdicts = set()
     for batch in (None, 8 * 3 * 2 * n * n * 8, 1):
         if batch is not None:
@@ -422,11 +437,15 @@ def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
         for mats in files:
             comp = Complement(params, tuple(CompatGroup(params, m) for m in mats))
             data = to_json_dict(comp)
-            loaded = from_json_dict(data)
-            assert [cls.matrix for cls in loaded.classes] == _load_oracle(data)
             want = _first_bad_class_loop_oracle(comp)
             assert first_bad_class(comp) == want
-            assert first_bad_class(loaded) == _first_bad_class_loop_oracle(loaded)
+            if any(len(m) != n for m in mats):
+                with pytest.raises(MubkitError, match="wrong generator count"):
+                    from_json_dict(data)
+            else:
+                loaded = from_json_dict(data)
+                assert [cls.matrix for cls in loaded.classes] == _load_oracle(data)
+                assert first_bad_class(loaded) == _first_bad_class_loop_oracle(loaded)
             census = _census_oracle(comp)
             assert _census_or_error(comp) == census
             verdicts.add(want and want.split(": ")[1])
@@ -643,6 +662,55 @@ def test_enumerated_cells_have_q_binomial_sizes(p, n):
         sizes[k] = sizes.get(k, 0) + 1
     assert sizes == {k: gaussian_binomial(n, k, p) * p ** (k * (k + 1) // 2)
                      for k in range(n + 1)}
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4), (5, 3), (3, 4)])
+def test_nbody_profiles_obey_incidence_law(p, n):
+    """Each nonzero vector lies in lagrangian_count(p, n - 1) Lagrangians, so
+    the n-body profiles of all Lagrangians sum to the complement-wide column
+    totals times that count; read off member tables, 2048 Lagrangians at a
+    time."""
+    params = SystemParams(p, n)
+    lagrangians = enumerate_lagrangians(params)
+    bodies = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, len(lagrangians), 2048):
+        m = _member_table(params, lagrangians[lo:lo + 2048])
+        support = (m[..., :n] != 0) | (m[..., n:] != 0)
+        bodies += np.bincount(support.sum(axis=2).ravel(), minlength=n + 1)
+    per_vector = lagrangian_count(SystemParams(p, n - 1))
+    assert bodies[0] == len(lagrangians)  # the identity, once per Lagrangian
+    assert tuple(bodies[1:].tolist()) == tuple(t * per_vector for t in profile_table(params).totals)
+
+
+def _assert_type_counts_obey_incidence_law(params, counts):
+    rows = type_rows(params)
+    per_vector = lagrangian_count(SystemParams(params.p, params.n - 1))
+    assert sum(counts.values()) == lagrangian_count(params)
+    assert tuple(sum(counts[lab] * rows[lab][1][k] for lab in counts)
+                 for k in range(params.n)) == tuple(
+        t * per_vector for t in profile_table(params).totals)
+
+
+@pytest.mark.parametrize("p,n,want", [
+    (2, 3, {"PI": 27, "SB": 54, "G3": 54}),
+    (3, 3, {"PI": 64, "SB": 288, "G3": 768}),
+    (2, 4, {"PI": 81, "S2B": 324, "SG3": 648, "G4": 162, "BB": 108, "C4": 972}),
+])
+def test_lagrangian_type_counts(p, n, want):
+    params = SystemParams(p, n)
+    counts = {}
+    for m in enumerate_lagrangians(params):
+        label = classify_basis(CompatGroup(params, m)).label
+        counts[label] = counts.get(label, 0) + 1
+    assert counts == want
+    _assert_type_counts_obey_incidence_law(params, counts)
+
+
+def test_type_counts_at_3_4_obey_incidence_law():
+    # the (3,4) counts that ROADMAP quotes, too many to classify here
+    _assert_type_counts_obey_incidence_law(SystemParams(3, 4), {
+        "PI": 256, "S2B": 2304, "SG3": 12288, "G4": 6144, "BB": 1728, "C4": 55296,
+        "P4": 13824})
 
 
 @pytest.mark.parametrize("batch", [4096, 100, 1])

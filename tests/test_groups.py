@@ -13,6 +13,9 @@ from mubkit.groups import (
     MUB_LABELS,
     CompatGroup,
     FactorDistribution,
+    _member_keys,
+    _member_table,
+    _support_counts,
     classify_basis,
     group_from_generators,
     lex_digits,
@@ -134,6 +137,42 @@ def test_lex_digits_table(p, n):
     g = random_lagrangian(SystemParams(p, n), random.Random(p * 10 + n))
     gens = np.array(g.matrix, dtype=np.int64)
     assert np.array_equal(g.members, digits @ gens % p)
+
+
+def _member_products_oracle(params, matrix):
+    """The earlier per-site member products of one class: CompatGroup.members
+    and member_keys, complement._member_keys, eigenbasis's coset shifts and
+    _support_counts."""
+    p, n = params.p, params.n
+    gens = np.array(matrix, dtype=np.int64).reshape(n, 2 * n)
+    powers = p ** np.arange(2 * n, dtype=np.int64)
+    members = (lex_digits(p, n) @ gens) % p
+    keys = (lex_digits(p, n) @ np.array([matrix], dtype=np.int64)) % p @ powers
+    xs = (lex_digits(p, n) @ gens[:, :n]) % p
+    m = lex_digits(p, n) @ gens
+    m %= p
+    support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
+    return (members, frozenset(int(k) for k in members @ powers), keys[0], xs,
+            np.bincount(support, minlength=1 << n))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (2, 4), (3, 3), (5, 2)])
+def test_member_table_matches_per_site_products(p, n):
+    params = SystemParams(p, n)
+    field = [cls.matrix for cls in field_spread(params).classes]
+    for matrices in (field, enumerate_lagrangians(params)):
+        tables, keys = _member_table(params, matrices), _member_keys(params, matrices)
+        assert tables.shape == (len(matrices), p ** n, 2 * n) and keys.shape == tables.shape[:2]
+        for k, m in enumerate(matrices):
+            members, keyset, key_row, xs, counts = _member_products_oracle(params, m)
+            g = CompatGroup(params, m)
+            assert g.members.dtype == np.int64 and np.array_equal(g.members, members)
+            assert g.member_keys == keyset
+            assert np.array_equal(tables[k], members)
+            assert np.array_equal(keys[k], key_row)
+            assert np.array_equal(_member_keys(params, m), key_row)
+            assert np.array_equal(_member_table(params, m)[:, :n], xs)
+            assert np.array_equal(_support_counts(g), counts)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -6,12 +6,11 @@ from math import comb, gcd
 
 import pytest
 
-import mubkit.stoich
-from mubkit.errors import GuardExceededError, InfeasibleError
+import mubkit.errors
+from mubkit.errors import NODE_GUARD, GuardExceededError, InfeasibleError
 from mubkit.stoich import (
     P3_N4_FULL_SOLUTION_COUNT,
     P5_N4_FULL_SOLUTION_COUNT,
-    STOICH_NODE_GUARD,
     ProfileTable,
     count_solutions,
     derived_equations,
@@ -190,10 +189,10 @@ def test_full_counts_match_frozen_constants():
 
 def test_node_guard_counts_every_dfs_node(monkeypatch):
     # counting (3,4) visits 18,566 nodes, (5,4) 598,352: both well inside
-    assert STOICH_NODE_GUARD >= 10 * 598_352
-    monkeypatch.setattr(mubkit.stoich, "STOICH_NODE_GUARD", 18_566)
+    assert NODE_GUARD >= 10 * 598_352
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_566)
     assert count_solutions(_table(3, 4)) == 6005
-    monkeypatch.setattr(mubkit.stoich, "STOICH_NODE_GUARD", 18_565)
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_565)
     for run in (lambda t: count_solutions(t), enumerate_solutions,
                 lambda t: extremize(t, "P4", "max")):
         with pytest.raises(GuardExceededError, match="stoich search passed the node guard 18565"):

@@ -9,6 +9,7 @@ from mubkit.errors import GuardExceededError
 from mubkit.zplinalg import (
     ExtField,
     SystemParams,
+    _is_irreducible,
     inv_mod,
     is_prime,
     nullspace,
@@ -147,6 +148,33 @@ def test_moduli_are_the_first_irreducibles():
         ExtField(4, 2)
     with pytest.raises(ValueError):
         ExtField(2, 0)
+
+
+def _digit_loop_oracle(k, p, count):
+    """The earlier digit loop of ExtField.element and ExtField._find_modulus."""
+    coeffs = []
+    for _ in range(count):
+        coeffs.append(k % p)
+        k //= p
+    return tuple(coeffs)
+
+
+def _modulus_oracle(p, degree):
+    for k in range(p ** degree):
+        coeffs = _digit_loop_oracle(k, p, degree)
+        if _is_irreducible(list(coeffs) + [1], p):
+            return coeffs
+
+
+def test_digits_match_loop_oracle():
+    # every field the CLI builds: p^degree <= 625
+    cases = [(p, deg) for p in range(2, 626) if is_prime(p)
+             for deg in range(1, 10) if p ** deg <= 625]
+    assert len(cases) == 136
+    for p, deg in cases:
+        f = ExtField(p, deg)
+        assert f.modulus == _modulus_oracle(p, deg), (p, deg)
+        assert list(f.elements()) == [_digit_loop_oracle(k, p, deg) for k in range(p ** deg)]
 
 
 @pytest.mark.parametrize("p,deg", [(2, 1), (2, 2), (2, 5), (3, 3), (5, 4), (7, 3)])
