@@ -161,6 +161,11 @@ def verify_spread(c: Complement) -> SpreadReport:
     bad = first_bad_class(c)
     checks.append(CheckResult(
         "classes Lagrangian", bad is None, bad or "all classes rank n and isotropic"))
+    ragged = [i for i, cls in enumerate(c.classes) if len(cls.matrix) != n]
+    if ragged:  # a class without n generators has no member table, so no cover is read
+        detail = f"class {ragged[0]} has {len(c.classes[ragged[0]].matrix)} generators, not {n}"
+        return SpreadReport((*checks, CheckResult("pairwise disjoint", False, detail),
+                             CheckResult("exact cover", False, detail)))
     # every class's keys count toward the cover. Five ints or arrays of p^2n
     # bits live at most (the union, a batch's last mask and the next's first,
     # its packed row and the bytes int.from_bytes copies), counted as six for

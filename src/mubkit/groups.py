@@ -84,26 +84,6 @@ def group_from_generators(params: SystemParams, gens: list[PauliOp] | tuple[Paul
     return CompatGroup(params, validate_generators(params, gens))
 
 
-def _support_counts(group: CompatGroup) -> np.ndarray:
-    """The number of members supported on exactly each qupit subset, indexed
-    by bitmask (bit i for qupit i), from one member table that is dropped on
-    return: beside the digit table, the product and then its supports' int64
-    copy and boolean masks, under 5n int64 per member in all."""
-    p, n = group.params.p, group.params.n
-    guard_memory(p ** n * 5 * n * 8, f"the member table of a group on {n} qupits at p = {p}")
-    m = _member_table(group.params, group.matrix)
-    support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
-    return np.bincount(support, minlength=1 << n)
-
-
-def nbody_profile(group: CompatGroup) -> tuple[int, ...]:
-    """Counts of members acting on exactly 1..n qupits; the identity is excluded."""
-    counts = [0] * (group.params.n + 1)
-    for mask, c in enumerate(_support_counts(group).tolist()):
-        counts[mask.bit_count()] += c
-    return tuple(counts[1:])
-
-
 @dataclass(frozen=True)
 class FactorDistribution:
     """What one qupit's local factors look like across a whole group."""
@@ -128,27 +108,6 @@ def qupit_factor_distribution(group: CompatGroup, qupit: int) -> FactorDistribut
         return FactorDistribution("entangled", None, p ** (n - 2))
     scale = pow(a if a else b, p - 2, p)  # make the first nonzero exponent 1
     return FactorDistribution("pure", ((a * scale) % p, (b * scale) % p), p ** (n - 1))
-
-
-def separation_pattern(group: CompatGroup) -> tuple[tuple[int, ...], ...]:
-    """Finest partition of the qupits over which the group factorizes.
-
-    A subset S splits the group iff the subgroups supported inside S and
-    inside its complement together have all p^n members. Each member's
-    support is a bitmask over the qupits; a subset-sum pass over the mask
-    counts gives inside[S], the order of the subgroup supported inside S.
-    """
-    p, n = group.params.p, group.params.n
-    inside = _support_counts(group).reshape((2,) * n)
-    for axis in range(n):
-        inside = inside.cumsum(axis=axis)
-    inside = inside.ravel().tolist()
-    full = (1 << n) - 1
-    blocks = [full]
-    for subset in range(1, 1 << (n - 1)):
-        if inside[subset] * inside[full ^ subset] == p ** n:
-            blocks = [part for b in blocks for part in (b & subset, b & ~subset) if part]
-    return tuple(sorted(tuple(i for i in range(n) if b >> i & 1) for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -195,12 +154,47 @@ def type_rows(params: SystemParams) -> dict[str, tuple[tuple[int, ...], tuple[in
 
 def classify_basis(group: CompatGroup) -> MubType:
     """The type_rows label whose block sizes and n-body profile the group
-    shows, or OTHER when none does."""
-    pattern = separation_pattern(group)
-    profile = nbody_profile(group)
+    shows, or OTHER when none does, read off one census of member supports.
+
+    The census counts the members supported on exactly each qupit subset
+    (bit i for qupit i) from one member table, under 5n int64 per member
+    with its digit table, supports and masks. Summed by subset size it gives
+    the profile. Its subset sums give inside[S], the order of the subgroup
+    supported inside S; S splits the group iff inside[S] inside[~S] = p^n,
+    and the pattern is the finest partition of the qupits so split.
+    """
+    p, n = group.params.p, group.params.n
+    guard_memory(p ** n * 5 * n * 8, f"the member table of a group on {n} qupits at p = {p}")
+    m = _member_table(group.params, group.matrix)
+    census = np.bincount(((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n)),
+                         minlength=1 << n)
+    counts = [0] * (n + 1)
+    for mask, c in enumerate(census.tolist()):
+        counts[mask.bit_count()] += c
+    profile = tuple(counts[1:])  # the identity is excluded
+    inside = census.reshape((2,) * n)
+    for axis in range(n):
+        inside = inside.cumsum(axis=axis)
+    inside = inside.ravel().tolist()
+    full = (1 << n) - 1
+    blocks = [full]
+    for subset in range(1, 1 << (n - 1)):
+        if inside[subset] * inside[full ^ subset] == p ** n:
+            blocks = [part for b in blocks for part in (b & subset, b & ~subset) if part]
+    pattern = tuple(sorted(tuple(i for i in range(n) if b >> i & 1) for b in blocks))
     key = (tuple(sorted(len(b) for b in pattern)), profile)
     label = next((lab for lab, row in type_rows(group.params).items() if row == key), "OTHER")
     return MubType(label, pattern, profile)
+
+
+def nbody_profile(group: CompatGroup) -> tuple[int, ...]:
+    """Counts of members acting on exactly 1..n qupits; the identity is excluded."""
+    return classify_basis(group).profile
+
+
+def separation_pattern(group: CompatGroup) -> tuple[tuple[int, ...], ...]:
+    """Finest partition of the qupits over which the group factorizes."""
+    return classify_basis(group).pattern
 
 
 def random_lagrangian(params: SystemParams, rng: random.Random) -> CompatGroup:

@@ -162,6 +162,17 @@ def test_verify_spread_reports_failures():
     broken = Complement(comp.params, tuple(CompatGroup(comp.params, m) for m in bad))
     names = {c.name: c.passed for c in verify_spread(broken).checks}
     assert names["classes Lagrangian"] is False
+    # a class cut to one generator, or given a third, is reported, not raised
+    one = comp.classes[1].matrix
+    for rows in (one[:1], one + ((1, 1, 0, 0),)):
+        ragged = Complement(comp.params, comp.classes[:1] + (CompatGroup(comp.params, rows),)
+                            + comp.classes[2:])
+        checks = {c.name: c for c in verify_spread(ragged).checks}
+        assert checks["class count"].passed
+        assert checks["classes Lagrangian"].detail == "class 1: rank"
+        for name in ("pairwise disjoint", "exact cover"):
+            assert checks[name].passed is False
+            assert checks[name].detail == f"class 1 has {len(rows)} generators, not 2"
 
 
 def cover_oracle(c):

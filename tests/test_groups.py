@@ -7,15 +7,16 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
+import mubkit.groups
 from mubkit.complement import complement_distribution, enumerate_lagrangians, field_spread
 from mubkit.errors import DependentGeneratorsError, NonCommutingError, TheoremViolationError
 from mubkit.groups import (
     MUB_LABELS,
     CompatGroup,
     FactorDistribution,
+    MubType,
     _member_keys,
     _member_table,
-    _support_counts,
     classify_basis,
     group_from_generators,
     lex_digits,
@@ -156,6 +157,48 @@ def _member_products_oracle(params, matrix):
             np.bincount(support, minlength=1 << n))
 
 
+def _support_counts_oracle(group):
+    """The earlier groups._support_counts: the number of members supported
+    on exactly each qupit subset, by bitmask, from a member table of its own."""
+    n = group.params.n
+    m = _member_table(group.params, group.matrix)
+    support = ((m[:, :n] != 0) | (m[:, n:] != 0)) @ (1 << np.arange(n))
+    return np.bincount(support, minlength=1 << n)
+
+
+def _profile_from_census(counts, n):
+    """The earlier nbody_profile body, read off a support census."""
+    by_size = [0] * (n + 1)
+    for mask, c in enumerate(counts.tolist()):
+        by_size[mask.bit_count()] += c
+    return tuple(by_size[1:])
+
+
+def _pattern_from_census(counts, p, n):
+    """The earlier separation_pattern body, read off a support census."""
+    inside = counts.reshape((2,) * n)
+    for axis in range(n):
+        inside = inside.cumsum(axis=axis)
+    inside = inside.ravel().tolist()
+    full = (1 << n) - 1
+    blocks = [full]
+    for subset in range(1, 1 << (n - 1)):
+        if inside[subset] * inside[full ^ subset] == p ** n:
+            blocks = [part for b in blocks for part in (b & subset, b & ~subset) if part]
+    return tuple(sorted(tuple(i for i in range(n) if b >> i & 1) for b in blocks))
+
+
+def _two_census_oracle(group):
+    """The earlier classify_basis, which took the support census twice: once
+    for the separation pattern and once for the n-body profile."""
+    p, n = group.params.p, group.params.n
+    pattern = _pattern_from_census(_support_counts_oracle(group), p, n)
+    profile = _profile_from_census(_support_counts_oracle(group), n)
+    key = (tuple(sorted(len(b) for b in pattern)), profile)
+    label = next((lab for lab, row in type_rows(group.params).items() if row == key), "OTHER")
+    return MubType(label, pattern, profile)
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (2, 4), (3, 3), (5, 2)])
 def test_member_table_matches_per_site_products(p, n):
     params = SystemParams(p, n)
@@ -172,7 +215,39 @@ def test_member_table_matches_per_site_products(p, n):
             assert np.array_equal(keys[k], key_row)
             assert np.array_equal(_member_keys(params, m), key_row)
             assert np.array_equal(_member_table(params, m)[:, :n], xs)
-            assert np.array_equal(_support_counts(g), counts)
+            assert nbody_profile(g) == _profile_from_census(counts, n)
+            assert separation_pattern(g) == _pattern_from_census(counts, p, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_classify_basis_matches_two_census_oracle(p, n):
+    params = SystemParams(p, n)
+    for m in enumerate_lagrangians(params):
+        g = CompatGroup(params, m)
+        assert classify_basis(g) == _two_census_oracle(g), m
+
+
+def test_classify_basis_builds_one_member_table(monkeypatch):
+    calls = []
+
+    def counted(params, matrices):
+        calls.append(1)
+        return _member_table(params, matrices)
+
+    monkeypatch.setattr(mubkit.groups, "_member_table", counted)
+    params = SystemParams(3, 3)
+    comp = field_spread(params)
+    for k, cls in enumerate(comp.classes[:5], 1):
+        classify_basis(cls)
+        assert len(calls) == k
+    calls.clear()
+    complement_distribution(comp)
+    assert len(calls) == len(comp.classes)
+    calls.clear()
+    g = group_from_generators(params, _letters(params, *G3_SET))
+    separation_pattern(g)
+    nbody_profile(g)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
