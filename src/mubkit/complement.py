@@ -18,8 +18,8 @@ import numpy as np
 
 from . import errors
 from .errors import CensusViolationError, GuardExceededError, MubkitError, guard_memory
-from .groups import (CompatGroup, MubType, _member_keys, classify_basis, lex_digits,
-                     qupit_factor_distribution)
+from .groups import (CompatGroup, MubType, _check_qupit, _member_keys, classify_basis,
+                     lex_digits, qupit_factor_distribution)
 from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
@@ -37,16 +37,6 @@ BATCH_BYTES = 1 << 20
 class Complement:
     params: SystemParams
     classes: tuple[CompatGroup, ...]
-
-
-def _canonical_key(matrix: Mat) -> tuple[int, ...]:
-    """Row-major reading of the rref matrix; base-p numeral order."""
-    return tuple(v for row in matrix for v in row)
-
-
-def _sorted_complement(params: SystemParams, matrices: list[Mat]) -> Complement:
-    matrices = sorted(matrices, key=_canonical_key)
-    return Complement(params, tuple(CompatGroup(params, m) for m in matrices))
 
 
 def field_spread(params: SystemParams) -> Complement:
@@ -72,7 +62,7 @@ def field_spread(params: SystemParams) -> Complement:
             left = tuple(1 if c == i else 0 for c in range(n))
             rows.append(left + tuple(gram[i]))
         matrices.append(tuple(rows))
-    return _sorted_complement(params, matrices)
+    return Complement(params, tuple(CompatGroup(params, m) for m in sorted(matrices)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +87,15 @@ class SpreadReport:
 
 def _class_stacks(params: SystemParams, matrices: list[Mat]) -> Iterator[tuple[int, np.ndarray]]:
     """The generator matrices as int64 stacks, each with the index of its
-    first matrix. A matrix without n rows is stacked as zeros, which every
-    stacked test sends to the per-class code.
+    first matrix.
 
     A stack takes an eighth of BATCH_BYTES (128 KiB): the tests on it make
     products of about 1.5 times its bytes, and a 263 kB (2,8) stack with its
     products left enough freed heap resident to raise the peak RSS of a
     search-prove benchmark pass by 0.3 MB."""
-    n = params.n
-    zero = ((0,) * (2 * n),) * n
-    step = max(1, BATCH_BYTES // 8 // (2 * n * n * 8))
+    step = max(1, BATCH_BYTES // 8 // (2 * params.n ** 2 * 8))
     for lo in range(0, len(matrices), step):
-        yield lo, np.array([m if len(m) == n else zero for m in matrices[lo:lo + step]],
-                           dtype=np.int64)
+        yield lo, np.array(matrices[lo:lo + step], dtype=np.int64)
 
 
 def _in_rref(m: np.ndarray, p: int) -> np.ndarray:
@@ -139,10 +125,9 @@ def first_bad_class(c: Complement) -> str | None:
         bad = np.flatnonzero(~canonical | form.any(axis=(1, 2)))
         if len(bad):
             idx = lo + int(bad[0])
-            rows = matrices[idx]
             if canonical[bad[0]]:
                 return f"class {idx}: not isotropic"
-            if len(rows) != n or len(rref(rows, p)[1]) != n:
+            if len(rref(matrices[idx], p)[1]) != n:
                 return f"class {idx}: rank"
             return f"class {idx}: not in canonical rref form"
     return None
@@ -161,33 +146,27 @@ def verify_spread(c: Complement) -> SpreadReport:
     bad = first_bad_class(c)
     checks.append(CheckResult(
         "classes Lagrangian", bad is None, bad or "all classes rank n and isotropic"))
-    ragged = [i for i, cls in enumerate(c.classes) if len(cls.matrix) != n]
-    if ragged:  # a class without n generators has no member table, so no cover is read
-        detail = f"class {ragged[0]} has {len(c.classes[ragged[0]].matrix)} generators, not {n}"
-        return SpreadReport((*checks, CheckResult("pairwise disjoint", False, detail),
-                             CheckResult("exact cover", False, detail)))
     # every class's keys count toward the cover. Five ints or arrays of p^2n
     # bits live at most (the union, a batch's last mask and the next's first,
-    # its packed row and the bytes int.from_bytes copies), counted as six for
-    # 32-bit words of 30-bit digits, beside (5n + 4) p^n int64 of member keys.
+    # its packed row and the bytes int.from_bytes copies; or at the first
+    # collision the union, its mask and packed row, their shared bits and one
+    # less than those), counted as six for 32-bit words of 30-bit digits,
+    # beside (5n + 4) p^n int64 of member keys.
     guard_memory(6 * ((p ** (2 * n) + 7) // 8) + (5 * n + 4) * p ** n * 8,
                  f"the cover union at p = {p}, n = {n}")
     matrices = [cls.matrix for cls in c.classes]
     union = 0
-    first = None  # the first class that shares a vector with the classes before it
+    collision = None  # (earlier class, first class to share a vector with it, lowest shared key)
     for idx, mask in enumerate(_cover_masks(c.params, matrices)):
-        if first is None and union & mask:
-            first = idx
+        if collision is None and (shared := union & mask):
+            # the lowest set bit: subtracting 1 turns it to 0 and the zeros below it to 1
+            key = (shared - 1).bit_count() - shared.bit_count() + 1
+            del shared  # the guard counts it only while the key is read
+            other = next(j for j, m in enumerate(matrices) if key in _member_keys(c.params, m))
+            collision = (other, idx, key)
         union |= mask
     universe = p ** (2 * n) - 1
     covered = union.bit_count()
-    collision = None
-    if first is not None:
-        # the lowest key it shares, from member key sets, not p^2n-bit ints
-        own = set(_member_keys(c.params, matrices[first]).tolist()) - {0}
-        shared = [own.intersection(_member_keys(c.params, m).tolist()) for m in matrices[:first]]
-        key = min(min(s) for s in shared if s)
-        collision = (next(j for j, s in enumerate(shared) if key in s), first, key)
     checks.append(CheckResult(
         "pairwise disjoint", collision is None,
         "no shared nonzero vectors" if collision is None else
@@ -255,6 +234,7 @@ def purity_census(c: Complement) -> PurityCensus:
 
 def average_purity(c: Complement, qupit: int) -> Fraction:
     """Exact average of the qupit's purity over all classes of the complement."""
+    _check_qupit(qupit, c.params.n)
     census = purity_census(c)
     return Fraction(census.pure[qupit], len(c.classes))
 
@@ -337,7 +317,8 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     guard_memory(_enumeration_bytes(params),
                  f"an enumeration of {total} Lagrangians at p = {p}, n = {n}")
     # a row's key reads it as a base-p numeral, entry 0 most significant, so
-    # rows of keys sort in the _canonical_key order of their matrices
+    # rows of keys sort as their matrices do in tuple order: row-major, by
+    # entry, the order of sorted() on n x 2n matrices
     powers = p ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
     keys = []
     for k in range(n + 1):

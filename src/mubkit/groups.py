@@ -33,10 +33,17 @@ def lex_digits(p: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompatGroup:
-    """A compatibility group, identified by its canonical rref generator matrix."""
+    """A compatibility group, identified by its canonical rref generator matrix:
+    n rows of 2n exponents, x-block then z-block."""
 
     params: SystemParams
     matrix: Mat
+
+    def __post_init__(self) -> None:
+        n, m = self.params.n, self.matrix
+        if len(m) != n or set(map(len, m)) != {2 * n}:
+            raise ValueError(f"a compatibility group on {n} qupits needs {n} rows of {2 * n} "
+                             f"exponents, got rows of lengths {[len(row) for row in m]}")
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -84,6 +91,11 @@ def group_from_generators(params: SystemParams, gens: list[PauliOp] | tuple[Paul
     return CompatGroup(params, validate_generators(params, gens))
 
 
+def _check_qupit(qupit: int, n: int) -> None:
+    if not 0 <= qupit < n:
+        raise ValueError(f"qupit must lie in [0, {n}), got {qupit}")
+
+
 @dataclass(frozen=True)
 class FactorDistribution:
     """What one qupit's local factors look like across a whole group."""
@@ -99,6 +111,7 @@ def qupit_factor_distribution(group: CompatGroup, qupit: int) -> FactorDistribut
     classes, each p^(n-2) times; rank 1 a single operator line, each power
     p^(n-1) times."""
     p, n = group.params.p, group.params.n
+    _check_qupit(qupit, n)
     cols = [(row[qupit] % p, row[n + qupit] % p) for row in group.matrix]
     a, b = next(((a, b) for a, b in cols if a or b), (0, 0))
     if not (a or b):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectorNotRankOneError, SameGroupError
-from .groups import CompatGroup, _member_table, lex_digits
+from .groups import CompatGroup, _check_qupit, _member_table, lex_digits
 from .pauli import PauliOp
 from .zplinalg import SystemParams
 
@@ -248,6 +248,7 @@ def _deviation(params: SystemParams, v: np.ndarray, perms: np.ndarray,
 def reduced_density(state: np.ndarray, qupit: int, params: SystemParams) -> np.ndarray:
     """Partial trace of |state><state| down to one qupit."""
     p, n = params.p, params.n
+    _check_qupit(qupit, n)
     psi = np.asarray(state, dtype=complex).reshape((p,) * n)
     axes = [i for i in range(n) if i != qupit]
     return np.tensordot(psi, psi.conj(), axes=(axes, axes))

@@ -107,6 +107,9 @@ def test_census_and_average_purity(p, n):
     assert census.identity_tally == (p ** (2 * n - 2) - 1,) * n
     for q in range(n):
         assert average_purity(comp, q) == Fraction(p + 1, p ** n + 1)
+    for q in (-1, n):  # not the last qupit read from the end, nor past it
+        with pytest.raises(ValueError, match=r"qupit must lie in \[0, "):
+            average_purity(comp, q)
 
 
 def test_census_violation_detected():
@@ -162,17 +165,11 @@ def test_verify_spread_reports_failures():
     broken = Complement(comp.params, tuple(CompatGroup(comp.params, m) for m in bad))
     names = {c.name: c.passed for c in verify_spread(broken).checks}
     assert names["classes Lagrangian"] is False
-    # a class cut to one generator, or given a third, is reported, not raised
+    # a class cut to one generator, or given a third, is no group at all
     one = comp.classes[1].matrix
     for rows in (one[:1], one + ((1, 1, 0, 0),)):
-        ragged = Complement(comp.params, comp.classes[:1] + (CompatGroup(comp.params, rows),)
-                            + comp.classes[2:])
-        checks = {c.name: c for c in verify_spread(ragged).checks}
-        assert checks["class count"].passed
-        assert checks["classes Lagrangian"].detail == "class 1: rank"
-        for name in ("pairwise disjoint", "exact cover"):
-            assert checks[name].passed is False
-            assert checks[name].detail == f"class 1 has {len(rows)} generators, not 2"
+        with pytest.raises(ValueError, match="needs 2 rows of 4 exponents"):
+            CompatGroup(comp.params, rows)
 
 
 def cover_oracle(c):
@@ -218,6 +215,15 @@ def cover_case(name, p, n):
         keep = shared.index(1)
         classes = tuple(cls for i, cls in enumerate(classes) if i == keep or not shared[i])
         classes += (extra,)
+    elif name == "two-shared":
+        # a Lagrangian outside the spread meets two of its classes at
+        # different keys: the class that holds the lower key goes second
+        extra = CompatGroup(params, next(m for m in enumerate_lagrangians(params)
+                                         if m not in {cls.matrix for cls in classes}))
+        lowest = sorted((min(shared - {0}), i) for i, cls in enumerate(classes)
+                        if len(shared := cls.member_keys & extra.member_keys) > 1)
+        (_, low), (_, high) = lowest[:2]
+        classes = (classes[high], classes[low], extra)
     return Complement(params, classes)
 
 
@@ -228,7 +234,8 @@ def mask_row_bytes(p, n):
 
 
 COVER_CASES = [(name, p, n) for name in ("field", "missing", "duplicate", "rank")
-               for p, n in ((2, 2), (2, 3), (3, 2))] + [("one-shared", 2, 2), ("one-shared", 2, 3)]
+               for p, n in ((2, 2), (2, 3), (3, 2))] + [("one-shared", 2, 2), ("one-shared", 2, 3),
+                                                        ("two-shared", 3, 3), ("two-shared", 2, 4)]
 
 
 @pytest.mark.parametrize("name,p,n", COVER_CASES)
@@ -241,6 +248,9 @@ def test_verify_cover_matches_oracle(monkeypatch, name, p, n):
         extra = comp.classes[-1].member_keys
         (key,) = [k for cls in comp.classes[:-1] for k in cls.member_keys & extra if k]
         assert want[0].detail.endswith(f" share vector key {key}")
+    if name == "two-shared":  # the lower key is class 1's, though class 0 meets class 2 too
+        key = min(comp.classes[1].member_keys & comp.classes[2].member_keys - {0})
+        assert want[0].detail == f"classes 1 and 2 share vector key {key}"
     picked = ("pairwise disjoint", "exact cover")
     assert [c for c in verify_spread(comp).checks if c.name in picked] == want
     # two mask rows per batch: verify then reads its masks in several batches
@@ -405,8 +415,6 @@ def _mutate(matrix, kind, p, n):
         m[0][n + 1] = 1
         if kind == "swapped-non-isotropic":
             m[0], m[-1] = m[-1], m[0]
-    elif kind == "short":  # one generator fewer than n
-        m = m[:-1]
     elif kind == "zero-column":  # qupit 0 has no local factor
         for row in m:
             row[0] = row[n] = 0
@@ -414,14 +422,14 @@ def _mutate(matrix, kind, p, n):
 
 
 STACK_KINDS = ("canonical", "row-swapped", "unreduced", "rank-deficient", "non-isotropic",
-               "zero-column", "swapped-non-isotropic", "short")
+               "zero-column", "swapped-non-isotropic")
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 4)])
 def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
     # one or two classes changed per file, as one kind or two kinds, and the
-    # four faults that each verdict must outrank (out of form and not
-    # isotropic, canonical and not isotropic, rank-deficient, short) together
+    # three faults that each verdict must outrank (out of form and not
+    # isotropic, canonical and not isotropic, rank-deficient) together
     # in every order, read at the default BATCH_BYTES, at three classes and
     # at one class per stack (a stack takes an eighth of BATCH_BYTES)
     params = SystemParams(p, n)
@@ -435,10 +443,9 @@ def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
             mats[j] = _mutate(mats[j], kind, p, n)
             mats[i] = _mutate(mats[i], other, p, n)
             files.append(mats)
-    for kinds in permutations(("swapped-non-isotropic", "non-isotropic", "rank-deficient",
-                               "short")):
+    for kinds in permutations(("swapped-non-isotropic", "non-isotropic", "rank-deficient")):
         mats = list(base)
-        for i, kind in zip((0, 1, 3, 4), kinds):
+        for i, kind in zip((0, 1, 3), kinds):
             mats[i] = _mutate(mats[i], kind, p, n)
         files.append(mats)
     verdicts = set()
@@ -450,29 +457,30 @@ def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
             data = to_json_dict(comp)
             want = _first_bad_class_loop_oracle(comp)
             assert first_bad_class(comp) == want
-            if any(len(m) != n for m in mats):
-                with pytest.raises(MubkitError, match="wrong generator count"):
-                    from_json_dict(data)
-            else:
-                loaded = from_json_dict(data)
-                assert [cls.matrix for cls in loaded.classes] == _load_oracle(data)
-                assert first_bad_class(loaded) == _first_bad_class_loop_oracle(loaded)
+            loaded = from_json_dict(data)
+            assert [cls.matrix for cls in loaded.classes] == _load_oracle(data)
+            assert first_bad_class(loaded) == _first_bad_class_loop_oracle(loaded)
             census = _census_oracle(comp)
             assert _census_or_error(comp) == census
             verdicts.add(want and want.split(": ")[1])
             verdicts.add(type(census) if isinstance(census, PurityCensus) else census[0])
     assert verdicts == {None, "rank", "not in canonical rref form", "not isotropic",
                         PurityCensus, CensusViolationError, TheoremViolationError}
+    # a file whose class has one generator fewer than n, which no Complement holds
+    data = to_json_dict(field_spread(params))
+    data["classes"][1]["gens"].pop()
+    with pytest.raises(MubkitError, match="wrong generator count"):
+        from_json_dict(data)
 
 
-def test_class_stacks_take_any_generator_count():
-    # a class without n generators is stacked as zeros and judged per class
-    params = SystemParams(2, 2)
-    classes = list(field_spread(params).classes)
-    classes[2] = CompatGroup(params, classes[2].matrix[:1])
-    comp = Complement(params, tuple(classes))
-    assert first_bad_class(comp) == _first_bad_class_loop_oracle(comp) == "class 2: rank"
-    assert _census_or_error(comp) == _census_oracle(comp)
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 3)])
+def test_compat_group_refuses_other_shapes(p, n):
+    # n - 1 or n + 1 rows, or a row of 2n - 1 or 2n + 1 entries
+    params = SystemParams(p, n)
+    m = field_spread(params).classes[1].matrix
+    for rows in (m[:-1], m + m[:1], m[:-1] + (m[-1][:-1],), m[:-1] + (m[-1] + (0,),)):
+        with pytest.raises(ValueError, match=f"needs {n} rows of {2 * n} exponents"):
+            CompatGroup(params, rows)
 
 
 
@@ -929,12 +937,13 @@ def test_verify_peak_memory(tmp_path, p, n, bound_mb):
     assert _child_peak_kb(_cli_body(["verify", "--in", str(path)])) < bound_mb * 1024
 
 
-def _one_class_file(tmp_path, p, n):
-    """A complement file of the vertical class alone: every check reads it,
-    and the cover union is as wide as a full spread's."""
+def _one_class_file(tmp_path, p, n, copies=1):
+    """A complement file of the vertical class alone, or that class `copies`
+    times: every check reads it, and the cover union is as wide as a full
+    spread's."""
     path = tmp_path / f"one{p}{n}.json"
     gens = [{"x": [0] * n, "z": [int(i == j) for i in range(n)]} for j in range(n)]
-    path.write_text(json.dumps({"p": p, "n": n, "classes": [{"gens": gens}]}))
+    path.write_text(json.dumps({"p": p, "n": n, "classes": [{"gens": gens}] * copies}))
     return str(path)
 
 
@@ -961,7 +970,7 @@ def test_verify_wide_cover_union_exits_3_small(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("kind,size", [("verify", 12), ("verify", 13),
+@pytest.mark.parametrize("kind,size", [("verify", 12), ("verify", 13), ("verify-twice", 12),
                                        ("generators", 14), ("generators", 16),
                                        ("search", 13), ("search", 17),
                                        ("stoich", "text"), ("stoich", "json"),
@@ -970,12 +979,14 @@ def test_memory_guard_need_covers_measured_peak(tmp_path, capsys, monkeypatch, k
     """The need a memory guard computes is at least what the command then
     takes: the VmHWM of a fresh process that runs it, less that of one that
     only imports mubkit.cli. verify on a one-class (2,12) and (2,13) file
-    counts its cover union; classify --generators on 14 and 16 qubits its
+    counts its cover union, and on a (2,12) file that holds the class twice
+    also the collision witness; classify --generators on 14 and 16 qubits its
     member table; a first spread at (13,2) and (17,2) its masks, chain and
     Lagrangians; the (5,4) stoich listing, in each format, its solutions and
     their rendering. The need is read off the guard's message at a bound of 0."""
-    if kind == "verify":  # one class fails the class count, so verify exits 1
-        argv, want = ["verify", "--in", _one_class_file(tmp_path, 2, size)], 1
+    if kind.startswith("verify"):  # one class fails the class count, so verify exits 1
+        copies = 2 if kind == "verify-twice" else 1
+        argv, want = ["verify", "--in", _one_class_file(tmp_path, 2, size, copies)], 1
     elif kind == "generators":
         argv, want = ["classify", "--generators", _product_generators(size), "--p", "2"], 0
     elif kind == "search":

@@ -344,6 +344,13 @@ def test_factor_distribution_spec_examples():
     d = qupit_factor_distribution(g, 2)
     assert (d.kind, d.multiplicity) == ("entangled", 2)
     assert qupit_factor_distribution(g, 0).local == (0, 1)
+    # the vertical class at (3,2), whose qupit 1 factor is Z: -1 is not read
+    # from the end of the x-block, where it would give X, and 2 is past it
+    params = SystemParams(3, 2)
+    g = group_from_generators(params, _letters(params, "ZI", "IZ"))
+    for q in (-1, 2):
+        with pytest.raises(ValueError, match=r"qupit must lie in \[0, 2\), got"):
+            qupit_factor_distribution(g, q)
 
 
 def test_pure_local_is_primitive():

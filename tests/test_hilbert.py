@@ -700,6 +700,10 @@ def test_reduced_density_of_product_state():
     rho = reduced_density(bell, 1, params)
     assert np.allclose(rho, np.eye(2) / 2)
     assert abs(purity(rho, 2)) < TOL
+    # -1 and n are no qupit: every axis would be traced out, leaving a scalar
+    for q in (-1, 2):
+        with pytest.raises(ValueError, match=r"qupit must lie in \[0, 2\), got"):
+            reduced_density(state, q, params)
 
 
 def test_mub_basis_carries_its_group():
