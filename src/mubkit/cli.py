@@ -78,12 +78,12 @@ def _render(fmt: str, doc, rows, text) -> None:
 
 def _parse_counts(clauses, flag: str) -> dict[str, int]:
     """LABEL=COUNT clauses of --filter or --fix: a label of MUB_LABELS at most
-    once, each with an integer count >= 0."""
+    once, each with a count >= 0 in decimal digits."""
     out: dict[str, int] = {}
     for part in clauses:
         name, _, value = part.partition("=")
         name = name.strip()
-        if not name or not value.strip().isdigit():
+        if not name or not value.strip().isdecimal():
             raise ValueError(f"bad {flag} clause {part!r}, expected LABEL=COUNT")
         if name not in MUB_LABELS:
             raise ValueError(f"unknown {flag} label {name!r}, expected one of "
@@ -199,9 +199,9 @@ def cmd_verify(args) -> int:
     checks = list(verify_spread(comp).checks)
     try:
         census = purity_census(comp)
-        p, n = comp.params.p, comp.params.n
         checks.append(CheckResult("purity-census", True,
-                                  f"every qupit pure {p + 1} and entangled {p ** n - p} times, "
+                                  f"every qupit pure {census.pure[0]} and entangled "
+                                  f"{census.entangled[0]} times, "
                                   f"identity tally {census.identity_tally}"))
     except MubkitError as exc:
         checks.append(CheckResult("purity-census", False, str(exc)))

@@ -219,7 +219,7 @@ def purity_census(c: Complement) -> PurityCensus:
             minors %= p
             ent[:, i] = minors.any(axis=1)
         for k, i in np.argwhere(empty).tolist():
-            ent[k, i] = qupit_factor_distribution(c.classes[lo + k], i).kind == "entangled"
+            qupit_factor_distribution(c.classes[lo + k], i)  # raises on a zero column
         entangled += ent.sum(axis=0)
         pure += len(m) - ent.sum(axis=0)
     want_pure = p + 1

@@ -253,16 +253,6 @@ def derived_equations(params: SystemParams) -> tuple[DerivedEquation, ...]:
 # variants
 
 
-def _compositions(total: int, k: int):
-    """All k part compositions of total, lexicographic."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
 def _pattern(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
@@ -292,33 +282,40 @@ def variant_assignment(params: SystemParams, solution: dict[str, int]) -> dict:
                 "SB": sb,
                 "G3": {_pattern([[0, 1, 2]]): get("G3")}}
     if n == 4:
+        # With t = p + 1 - PI, qupit i is pure in the a_i S2B bases whose Bell
+        # pair leaves it out and in SG3 variant i, so that variant takes
+        # t - a_i >= 0. The a_i sum to 2 S2B, so SG3 = 4t - 2 S2B and
+        # S2B <= 2t, and whenever both hold a split exists. Over the pairs
+        # 01, 02, 03, 12, 13, 23 this split is the lex-first: 03 and 12 alone
+        # hold any S2B <= 2t, so 01 and 02 take nothing, and each later part
+        # takes the least value the parts after it can still complete, bounded
+        # by a_0 <= t (12 + 13 + 23), then by a_1, a_2 <= t (23 and 13 each
+        # at most t - s03).
+        t, s = target - get("PI"), get("S2B")
+        if not 0 <= s <= 2 * t or get("SG3") != 4 * t - 2 * s:
+            raise InfeasibleError(
+                "no per-variant split keeps every qupit pure exactly p + 1 times")
+        s03 = max(0, s - t)
+        s12 = max(0, s - s03 - 2 * (t - s03))
+        s13 = max(0, s - s03 - s12 - (t - s03))
+        split = (0, 0, s03, s12, s13, s - s03 - s12 - s13)
         pairs = list(combinations(range(4), 2))
-        # every split of S2B gives the SG3 counts the sum 4 (p + 1 - PI) - 2 S2B
-        feasible = 4 * (target - get("PI")) - 2 * get("S2B") == get("SG3")
-        for split in _compositions(get("S2B"), 6) if feasible else ():
-            # qupit i is pure in every S2B basis whose Bell pair leaves it out
-            sg3 = [target - get("PI") - sum(split[qi] for qi, q in enumerate(pairs) if i not in q)
-                   for i in range(4)]
-            if min(sg3) < 0:
-                continue
-            s2b = {}
-            for qi, q in enumerate(pairs):
-                rest = [j for j in range(4) if j not in q]
-                s2b[_pattern([[rest[0]], [rest[1]], list(q)])] = split[qi]
-            sg3_map = {}
-            for i in range(4):
-                rest = [j for j in range(4) if j != i]
-                sg3_map[_pattern([[i], rest])] = sg3[i]
-            pairings = ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)])
-            bb = {_pattern([list(a), list(b)]): 0 for a, b in pairings}
-            bb[_pattern([[0, 1], [2, 3]])] = get("BB")  # purity blind, any split works
-            out = {"PI": {_pattern([[0], [1], [2], [3]]): get("PI")},
-                   "S2B": s2b, "SG3": sg3_map, "BB": bb}
-            whole = _pattern([[0, 1, 2, 3]])
-            for lab in ("G4", "C4", "P4"):
-                if lab in solution:
-                    out[lab] = {whole: get(lab)}
-            return out
-        raise InfeasibleError(
-            "no per-variant split keeps every qupit pure exactly p + 1 times")
+        s2b = {}
+        for q, count in zip(pairs, split):
+            rest = [j for j in range(4) if j not in q]
+            s2b[_pattern([[rest[0]], [rest[1]], list(q)])] = count
+        sg3 = {}
+        for i in range(4):
+            rest = [j for j in range(4) if j != i]
+            sg3[_pattern([[i], rest])] = t - sum(c for q, c in zip(pairs, split) if i not in q)
+        pairings = ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)])
+        bb = {_pattern([list(a), list(b)]): 0 for a, b in pairings}
+        bb[_pattern([[0, 1], [2, 3]])] = get("BB")  # purity blind, any split works
+        out = {"PI": {_pattern([[0], [1], [2], [3]]): get("PI")},
+               "S2B": s2b, "SG3": sg3, "BB": bb}
+        whole = _pattern([[0, 1, 2, 3]])
+        for lab in ("G4", "C4", "P4"):
+            if lab in solution:
+                out[lab] = {whole: get(lab)}
+        return out
     raise ValueError(f"variants cover 2 to 4 qupits, got n={n}")

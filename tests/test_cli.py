@@ -448,8 +448,9 @@ def test_complement_search_filter_counts_every_spread(capsys, argv, end, examine
     (["--filter", "PI=0", "--method", "field"], "--method search"),
     (["--filter", "PI=0,PI=3"], "repeated"),
     (["--filter", ""], "filter"),
+    (["--filter", "PI=²"], "bad filter clause"),
 ], ids=["bad-count", "unknown-label", "limit-0", "field-filter", "repeated-label",
-        "empty-filter"])
+        "empty-filter", "superscript-count"])
 def test_complement_bad_filter_clause(capsys, extra, word):
     code, out, err = run(capsys, "complement", "--p", "2", "--n", "2",
                          "--method", "search", *extra)
@@ -617,6 +618,9 @@ def test_stoich_argument_errors(capsys):
     assert run(capsys, "stoich", "--p", "3", "--n", "3", "--maximize", "PI",
                "--count-only")[0] == 2
     assert run(capsys, "stoich", "--p", "2", "--n", "4", "--fix", "PI=x")[0] == 2
+    # int() reads no superscript digit, so the clause is refused up front
+    code, _, err = run(capsys, "stoich", "--p", "2", "--n", "2", "--fix", "PI=³")
+    assert code == 2 and "bad fix clause 'PI=³', expected LABEL=COUNT" in err
     assert run(capsys, "stoich", "--p", "2", "--n", "4", "--forbid", "XYZ",
                "--count-only")[0] == 2
     assert run(capsys, "stoich", "--p", "2", "--n", "5", "--count-only")[0] == 2

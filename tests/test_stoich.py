@@ -579,6 +579,11 @@ def test_variants_n4():
                                       "BB": 2, "G4": 0, "C4": 3})
     assert set(got["SG3"].values()) == {3}
     assert _pure_tally(params, got) == [3, 3, 3, 3]
+    # a large p, where a scan over the compositions of S2B would take seconds
+    params = SystemParams(101, 4)
+    got = variant_assignment(params, {"PI": 0, "S2B": 204, "SG3": 0})
+    assert tuple(got["S2B"].values()) == (0, 0, 102, 102, 0, 0)
+    assert _pure_tally(params, got) == [102] * 4
 
 
 def test_variants_n4_infeasible():
@@ -635,14 +640,20 @@ def _outcome(fn, params, solution):
         return ("InfeasibleError", str(exc))
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_variants_n4_match_scan_oracle(p):
     params = SystemParams(p, 4)
-    cases = enumerate_solutions(_table(p, 4))
+    # the 198,379 solutions at (5,4) are too many to scan
+    cases = enumerate_solutions(_table(p, 4)) if p < 5 else []
     # wrong SG3 sums, a right sum with PI past p + 1, and two right sums that split
     cases += [{"PI": 0, "S2B": 6, "SG3": 1}, {"PI": 0, "S2B": 4 * (p + 1), "SG3": 0},
               {"PI": p + 2, "S2B": 0, "SG3": 0}, {"PI": p + 2, "S2B": 0, "SG3": -4},
               {"PI": 0, "S2B": 2 * (p + 1), "SG3": 0}, {"PI": 1, "S2B": 3, "SG3": 4 * p - 6}]
+    # every PI and S2B around the feasible box, with the SG3 law's count and one past it
+    for pi in range(-1, p + 3):
+        for s2b in range(-1, 2 * (p + 1) + 2):
+            law = 4 * (p + 1 - pi) - 2 * s2b
+            cases += [{"PI": pi, "S2B": s2b, "SG3": law + extra} for extra in (0, 1)]
     for sol in cases:
         assert _outcome(variant_assignment, params, sol) == _outcome(
             _variants_n4_scan, params, sol), sol
