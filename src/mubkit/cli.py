@@ -14,7 +14,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import asdict
-from itertools import combinations, islice
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -34,7 +34,7 @@ from .complement import (
 )
 from .errors import GuardExceededError, InfeasibleError, MubkitError, guard_memory
 from .groups import MUB_LABELS, classify_basis, group_from_generators
-from .hilbert import TOL, eigenbasis, eigenvalue_deviation, mub_check, qupit_purities
+from .hilbert import TOL, Bras, eigenbasis, eigenvalue_deviation, mub_check, qupit_purities
 from .pauli import parse_pauli
 from .stoich import count_solutions, enumerate_solutions, extremize, profile_table
 from .zplinalg import SystemParams
@@ -143,10 +143,12 @@ def cmd_complement(args) -> int:
 
 
 def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
-    """Prove every basis up to max_dim, else a seeded sample of _SAMPLE_BASES;
-    then check the pairs among them for unbiasedness and their qupit purities.
-    The bases it keeps, and beside them the scratch of eigenbasis (under one
-    more basis), are checked against the memory guard first."""
+    """Prove every basis up to max_dim, else a seeded sample of _SAMPLE_BASES,
+    and take its qupit purities as it is built; then check the pairs among
+    them for unbiasedness, row by row: row a turns basis a into its adjoint in
+    place for every later b and drops it. The bases it keeps, and beside them
+    the scratch of eigenbasis (under one more basis), are checked against the
+    memory guard first."""
     params = comp.params
     d = params.dim
     total = len(comp.classes)
@@ -161,7 +163,7 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
     scope = "" if full else f" over {len(idx)} of {total} bases"
     name = "hilbert-projectors" if full else "hilbert-eigenvectors (sampled)"
     bases = {}
-    worst = 0.0
+    worst = impure = 0.0
     fail = ""
     for i in idx:
         try:
@@ -173,22 +175,25 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
             worst = max(worst, dev)
             if dev > TOL and not fail:
                 fail = f"basis {i} eigenvector deviation {dev:.3e}"
+        pur = qupit_purities(bases[i].vectors, params)
+        impure = max(impure, float(np.minimum(abs(pur), abs(pur - 1.0)).max()))
     out = [CheckResult(name, not fail, fail or (
         f"all {total} bases meet their generator eigen-equations within {TOL:g}" if full
         else f"max deviation {worst:.3e}{scope}"))]
 
-    pairs = list(combinations(idx, 2))
-    of_pairs = f"{len(pairs)} pairs" if full else f"{len(pairs)} of {comb(total, 2)} pairs"
-    worst = max((mub_check(bases[a], bases[b]) for a, b in pairs), default=0.0)
+    # the pairs of combinations(idx, 2), a row at a time; basis a is spent,
+    # its array now holding V_a^H
+    devs = []
+    for row, a in enumerate(idx[:-1]):
+        left = Bras.of(bases.pop(a))
+        devs += [mub_check(left, bases[b]) for b in idx[row + 1:]]
+        del left
+    worst = max(devs, default=0.0)
+    of_pairs = f"{len(devs)} pairs" if full else f"{len(devs)} of {comb(total, 2)} pairs"
     out.append(CheckResult(f"hilbert-overlaps{tag}", worst <= TOL,
                            f"max | |<a|b>|^2 - 1/d | = {worst:.3e} over {of_pairs}"))
-
-    worst = 0.0
-    for basis in bases.values():
-        pur = qupit_purities(basis.vectors, params)
-        worst = max(worst, float(np.minimum(abs(pur), abs(pur - 1.0)).max()))
-    out.append(CheckResult(f"hilbert-purities{tag}", worst <= TOL,
-                           f"max distance of any qupit purity from {{0,1}} = {worst:.3e}{scope}"))
+    out.append(CheckResult(f"hilbert-purities{tag}", impure <= TOL,
+                           f"max distance of any qupit purity from {{0,1}} = {impure:.3e}{scope}"))
     return out
 
 

@@ -10,16 +10,19 @@ class are written a block of rows at a time, those of any other class from
 coset sums over blocks of columns, placed by Z_p^n digit sums; the
 proof comes from the generator eigen-equations on the same table. mub_check
 forms A^H B a block of rows at a time and keeps only its largest and smallest
-magnitude; purities take one batched product per qupit over a block of
-columns. Memory stays O(d^2), with about one d x d array of scratch beside a
-basis. For p = 2 each site factor X^x Z^z carries the phase i^(x z),
-which makes every group element square to the identity; for odd p the plain
-products already have order p.
+magnitude; it takes the rows of A^H from its left operand, a fresh conjugate
+block of a MubBasis, or a slice of Bras, a basis turned into its adjoint in
+place to serve a whole row of pairs. Purities take one batched product per
+qupit over a block of columns. Memory stays O(d^2), with about one d x d
+array of scratch beside a basis. For p = 2 each site factor X^x Z^z carries
+the phase i^(x z), which makes every group element square to the identity;
+for odd p the plain products already have order p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -110,6 +113,44 @@ class MubBasis:
 
     group: CompatGroup
     vectors: np.ndarray
+
+    def bras(self, top: int, end: int) -> np.ndarray:
+        """Rows top to end of V^H, conjugated afresh from columns of V."""
+        return self.vectors[:, top:end].conj().T
+
+
+@dataclass
+class Bras:
+    """The adjoint V^H of a basis, row k the bra of column k, held in the
+    array that held V."""
+
+    group: CompatGroup
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, basis: MubBasis) -> Bras:
+        """Turn basis.vectors into V^H in place, which spends the basis:
+        square blocks of _BLOCK_BYTES trade places across the diagonal, each
+        pair through one block of scratch, transposed; then every entry is
+        conjugated."""
+        v = basis.vectors
+        d = len(v)
+        side = min(d, max(1, isqrt(_BLOCK_BYTES // 16)))
+        scratch = np.empty((side, side), dtype=complex)
+        for i in range(0, d, side):
+            for j in range(i, d, side):
+                upper, lower = v[i:i + side, j:j + side], v[j:j + side, i:i + side]
+                tmp = scratch[:upper.shape[0], :upper.shape[1]]
+                tmp[...] = upper
+                if i != j:  # a diagonal block is its own partner
+                    upper[...] = lower.T
+                lower[...] = tmp.T
+        np.conjugate(v, out=v)
+        return cls(basis.group, v)
+
+    def bras(self, top: int, end: int) -> np.ndarray:
+        """Rows top to end of V^H, a contiguous slice."""
+        return self.rows[top:end]
 
 
 def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
@@ -275,10 +316,13 @@ def qupit_purities(vectors: np.ndarray, params: SystemParams) -> np.ndarray:
     return out
 
 
-def mub_check(a: MubBasis, b: MubBasis) -> float:
+def mub_check(a: MubBasis | Bras, b: MubBasis) -> float:
     """Max deviation of squared cross overlaps from 1/d; the two bases must
-    come from different groups. Squaring and subtracting 1/d are monotone
-    under rounding, so the largest and smallest overlap give the worst one."""
+    come from different groups. The rows of A^H come from a.bras: a MubBasis
+    conjugates each block afresh, Bras holds them already, so one Bras
+    serves every pair of its basis with no copy. Squaring and subtracting
+    1/d are monotone under rounding, so the largest and smallest overlap give
+    the worst one."""
     if a.group.matrix == b.group.matrix:
         raise SameGroupError("both bases diagonalize the same compatibility group")
     d = a.group.params.dim
@@ -288,6 +332,6 @@ def mub_check(a: MubBasis, b: MubBasis) -> float:
     edges = [*range(0, d - 1, step), d]
     hi, lo = 0.0, np.inf
     for top, end in zip(edges, edges[1:]):
-        m = np.abs(a.vectors[:, top:end].conj().T @ b.vectors)
+        m = np.abs(a.bras(top, end) @ b.vectors)
         hi, lo = max(hi, float(m.max())), min(lo, float(m.min()))
     return max(abs(hi * hi - 1.0 / d), abs(lo * lo - 1.0 / d))

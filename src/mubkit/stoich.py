@@ -260,7 +260,10 @@ def _pattern(blocks) -> tuple[tuple[int, ...], ...]:
 def variant_assignment(params: SystemParams, solution: dict[str, int]) -> dict:
     """Split type counts into per-variant counts so every qupit is pure in
     exactly p + 1 bases. Returns {label: {pattern: count}}; raises when no
-    split exists."""
+    split exists, and ValueError on a negative count."""
+    for lab, v in solution.items():
+        if v < 0:
+            raise ValueError(f"count for {lab} must be nonnegative")
     p, n = params.p, params.n
     target = p + 1
     get = lambda lab: solution.get(lab, 0)

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import mubkit.cli
 import mubkit.complement
 import mubkit.errors
+import mubkit.hilbert
 from mubkit.cli import main
 from mubkit.complement import (complement_distribution, dumps, field_spread,
                                from_json_dict, search_spreads, verify_spread)
@@ -118,6 +120,31 @@ def test_verify_sampled_proof_reports_deviation(capsys, tmp_path, monkeypatch):
     assert hilbert[2].startswith("PASS  hilbert-purities (sampled): ")
     assert hilbert[2].endswith(" over 5 of 5 bases")
     assert len(hilbert) == 3 and out.endswith("FAILED  7/8 checks\n")
+
+
+def test_verify_overlaps_hold_no_adjoint_copy(capsys, tmp_path, monkeypatch):
+    # a sampled (3,5) proof holds six bases of d = 243, 7.2 blocks each; every
+    # overlap check takes its left operand from a basis turned into its
+    # adjoint in place, so the traced memory beyond the six stays within a few
+    # blocks, where a copied adjoint would add a whole basis
+    path = tmp_path / "c35.json"
+    run(capsys, "complement", "--p", "3", "--n", "5", "--out", str(path))
+    real = mubkit.cli.mub_check
+    beyond = []
+
+    def traced(a, b):
+        tracemalloc.reset_peak()
+        out = real(a, b)
+        beyond.append(tracemalloc.get_traced_memory()[1] - 6 * 243 ** 2 * 16)
+        return out
+    monkeypatch.setattr(mubkit.cli, "mub_check", traced)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "--in", str(path))
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(beyond) == 15
+    assert max(beyond) < 4 * mubkit.hilbert._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("extra,name", [

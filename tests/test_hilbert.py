@@ -13,6 +13,7 @@ from mubkit.errors import ProjectorNotRankOneError, SameGroupError
 from mubkit.groups import CompatGroup, group_from_generators, lex_digits, qupit_factor_distribution
 from mubkit.hilbert import (
     _TIE,
+    Bras,
     MubBasis,
     _column_norms,
     _digit_sum,
@@ -570,6 +571,14 @@ def test_trimmed_loops_bit_identical_to_oracles():
     assert mub_check(bent, bases[0]) == _mub_check_oracle(bent, bases[0]) > 1e-7
 
 
+def _bras(basis):
+    """Bras of a copy of the basis, which leaves the basis whole."""
+    left = Bras.of(MubBasis(basis.group, basis.vectors.copy()))
+    assert np.array_equal(left.rows.view(np.uint64),
+                          basis.vectors.conj().T.copy().view(np.uint64))
+    return left
+
+
 @pytest.mark.parametrize("p,n", DIFF_CASES)
 def test_mub_check_bit_identical_to_elementwise_oracle(monkeypatch, p, n):
     # the worst deviation from the largest and smallest overlap alone equals
@@ -577,17 +586,45 @@ def test_mub_check_bit_identical_to_elementwise_oracle(monkeypatch, p, n):
     # and on a noisy basis, with rows of A^H B taken by default, three at a
     # time, or as few as mub_check takes: a one-byte bound gets two-row blocks
     # (a three-row last one when d is odd), as BLAS makes a one-row product a
-    # matrix-vector product, which rounds differently
+    # matrix-vector product, which rounds differently. The left operand is a
+    # basis or its Bras, transposed in square blocks of _BLOCK_BYTES: one block,
+    # blocks of five or seven rows, which d is no multiple of, and single entries
+    d = p ** n
+    side = 7 if d % 7 else 5
     bases = [eigenbasis(cls, check=False) for cls in _sample_classes(p, n)]
     rng = np.random.default_rng(p + n)
     v = bases[0].vectors
     bent = MubBasis(bases[0].group, v + 1e-6 * rng.standard_normal(v.shape))
-    for block in (1 << 17, 3 * 16 * p ** n, 1):
+    for block in (1 << 17, 3 * 16 * d, 16 * side * side, 1):
         monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
         for i, a in enumerate(bases):
-            for b in bases[i + 1:]:
-                assert mub_check(a, b) == _mub_check_oracle(a, b) < TOL
-        assert mub_check(bent, bases[1]) == _mub_check_oracle(bent, bases[1]) > 1e-8
+            want = [_mub_check_oracle(a, b) for b in bases[i + 1:]]
+            assert [mub_check(a, b) for b in bases[i + 1:]] == want
+            left = _bras(a)
+            assert [mub_check(left, b) for b in bases[i + 1:]] == want
+            assert max(want, default=0.0) < TOL
+        want = _mub_check_oracle(bent, bases[1])
+        assert mub_check(bent, bases[1]) == mub_check(_bras(bent), bases[1]) == want > 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 91])
+def test_bras_transpose_in_place_bit_for_bit(monkeypatch, d):
+    # signed zeros in both parts, and square blocks of every side up to d + 1:
+    # the default side, 90, exceeds d but at d = 91, where its last block is one
+    # row and column
+    rng = np.random.default_rng(d)
+    v = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    zeros = rng.integers(0, 4, (d, d))
+    v.real[zeros == 1] = -0.0
+    v.imag[zeros == 2] = 0.0
+    v.imag[zeros == 3] = -0.0
+    want = v.conj().T.copy().view(np.uint64)
+    for side in (None, *range(1, min(d, 12) + 2)):
+        if side is not None:
+            monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", 16 * side * side)
+        held = v.copy()
+        left = Bras.of(MubBasis(None, held))
+        assert left.rows is held and np.array_equal(held.view(np.uint64), want)
 
 
 def test_mub_check_memory_is_a_few_blocks():

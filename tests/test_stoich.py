@@ -594,6 +594,14 @@ def test_variants_n4_infeasible():
         variant_assignment(SystemParams(2, 5), {})
 
 
+def test_variants_refuse_negative_counts():
+    # both returned splits holding a negative count before the check
+    for (p, n), solution in (((2, 4), {"PI": -1, "S2B": 0, "SG3": 16}),
+                             ((2, 2), {"PI": 3, "B": -7})):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            variant_assignment(SystemParams(p, n), solution)
+
+
 def _variants_n4_scan(params, solution):
     """The n = 4 split by scanning every composition of S2B into six parts,
     as variant_assignment did before it checked the SG3 sum first."""
@@ -655,5 +663,9 @@ def test_variants_n4_match_scan_oracle(p):
             law = 4 * (p + 1 - pi) - 2 * s2b
             cases += [{"PI": pi, "S2B": s2b, "SG3": law + extra} for extra in (0, 1)]
     for sol in cases:
+        if min(sol.values()) < 0:  # the scan split these; a count below 0 is refused
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                variant_assignment(params, sol)
+            continue
         assert _outcome(variant_assignment, params, sol) == _outcome(
             _variants_n4_scan, params, sol), sol
