@@ -18,8 +18,8 @@ import numpy as np
 
 from . import errors
 from .errors import CensusViolationError, GuardExceededError, MubkitError, guard_memory
-from .groups import (CompatGroup, MubType, _check_qupit, _member_keys, classify_basis,
-                     lex_digits, qupit_factor_distribution)
+from .groups import (CompatGroup, MubType, _check_qupit, _member_keys, _qupit_rank,
+                     classify_basis, lex_digits, qupit_factor_distribution)
 from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
@@ -195,33 +195,25 @@ def purity_census(c: Complement) -> PurityCensus:
     each qupit pure in exactly p + 1 classes, entangled in p^n - p.
 
     A qupit's kind is the rank of its generator columns (x_i | z_i) mod p
-    (paper rule 1), read on whole class stacks from the 2 x 2 minors against
-    the first nonzero row: rank 1 (pure) when they all vanish, rank 2
-    (entangled) otherwise. A column pair that reads as rank 0 goes to
-    qupit_factor_distribution, which raises on it. Each class's identity
-    factor count is its factor multiplicity, p^(n-1) pure and p^(n-2)
-    entangled, so once the census holds, the non-identity members with an
-    identity factor at a qupit number p^(2n-2) - 1 over all classes."""
+    (paper rule 1), read on whole class stacks by the reader that
+    qupit_factor_distribution uses: rank 1 is pure, rank 2 entangled, and a
+    rank 0 column pair goes to qupit_factor_distribution, which raises on it.
+    Each class's identity factor count is its factor multiplicity, p^(n-1)
+    pure and p^(n-2) entangled, so once the census holds, the non-identity
+    members with an identity factor at a qupit number p^(2n-2) - 1 over all
+    classes."""
     p, n = c.params.p, c.params.n
     pure = np.zeros(n, dtype=np.int64)
     entangled = np.zeros(n, dtype=np.int64)
     for lo, m in _class_stacks(c.params, [cls.matrix for cls in c.classes]):
         m %= p
-        rows = np.arange(len(m))
-        ent = np.empty((len(m), n), dtype=bool)
-        empty = np.empty((len(m), n), dtype=bool)
+        ranks = np.empty((len(m), n), dtype=np.int8)
         for i in range(n):
-            x, z = m[:, :, i], m[:, :, n + i]
-            first = ((x != 0) | (z != 0)).argmax(axis=1)
-            a, b = x[rows, first], z[rows, first]
-            empty[:, i] = (a == 0) & (b == 0)
-            minors = a[:, None] * z - b[:, None] * x
-            minors %= p
-            ent[:, i] = minors.any(axis=1)
-        for k, i in np.argwhere(empty).tolist():
+            ranks[:, i] = _qupit_rank(m, p, i)[0]
+        for k, i in np.argwhere(ranks == 0).tolist():
             qupit_factor_distribution(c.classes[lo + k], i)  # raises on a zero column
-        entangled += ent.sum(axis=0)
-        pure += len(m) - ent.sum(axis=0)
+        entangled += (ranks == 2).sum(axis=0)
+        pure += (ranks == 1).sum(axis=0)
     want_pure = p + 1
     want_ent = p ** n - p
     for i in range(n):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DependentGeneratorsError, NonCommutingError,
                      TheoremViolationError, guard_memory)
 from .pauli import PauliOp, symplectic_form, symplectic_form_vec
-from .zplinalg import Mat, SystemParams, Vec, rref
+from .zplinalg import Mat, SystemParams, Vec, inv_mod, rref
 
 MUB_LABELS = ("PI", "B", "SB", "G3", "S2B", "SG3", "BB", "G4", "C4", "P4", "OTHER")
 
@@ -105,6 +105,23 @@ class FactorDistribution:
     multiplicity: int
 
 
+def _qupit_rank(m: np.ndarray, p: int, qupit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Paper rule 1 on one qupit of each matrix in an int64 stack m reduced mod
+    p, read through views of the stack: the rank of the columns (x_i | z_i)
+    and the first nonzero row's (x_i, z_i). The rank is 0 for zero columns, 1
+    (pure) when every 2 x 2 minor against that row vanishes, else 2."""
+    n = m.shape[2] // 2
+    x, z = m[:, :, qupit], m[:, :, n + qupit]
+    rows = np.arange(len(m))
+    first = ((x != 0) | (z != 0)).argmax(axis=1)
+    a, b = x[rows, first], z[rows, first]
+    minors = a[:, None] * z - b[:, None] * x
+    minors %= p
+    rank = minors.any(axis=1) + 1
+    rank[(a == 0) & (b == 0)] = 0
+    return rank, a, b
+
+
 def qupit_factor_distribution(group: CompatGroup, qupit: int) -> FactorDistribution:
     """The local factor tally at one qupit, read off the rank of its generator
     columns (x_i | z_i) mod p (paper rule 1): rank 2 gives all p^2 local
@@ -112,15 +129,14 @@ def qupit_factor_distribution(group: CompatGroup, qupit: int) -> FactorDistribut
     p^(n-1) times."""
     p, n = group.params.p, group.params.n
     _check_qupit(qupit, n)
-    cols = [(row[qupit] % p, row[n + qupit] % p) for row in group.matrix]
-    a, b = next(((a, b) for a, b in cols if a or b), (0, 0))
-    if not (a or b):
+    (rank,), (a,), (b,) = _qupit_rank(np.array([group.matrix], dtype=np.int64) % p, p, qupit)
+    if rank == 0:
         raise TheoremViolationError(
             f"qupit {qupit} shows 1 local classes with tallies [{p ** n}]")
-    if any((a * d - b * c) % p for c, d in cols):  # a row off the first one's line
+    if rank == 2:
         return FactorDistribution("entangled", None, p ** (n - 2))
-    scale = pow(a if a else b, p - 2, p)  # make the first nonzero exponent 1
-    return FactorDistribution("pure", ((a * scale) % p, (b * scale) % p), p ** (n - 1))
+    scale = inv_mod(int(a if a else b), p)  # make the first nonzero exponent 1
+    return FactorDistribution("pure", (int(a * scale % p), int(b * scale % p)), p ** (n - 1))
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,7 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     digits = lex_digits(p, n)
     perms, gens = _generators(params, group.matrix)
     amp = _amplitudes(p, perms, gens)  # G_t |s> = amp[t, s] |s + shift_t>
-    xs = _member_table(params, group.matrix)[:, :n]
+    xs = _member_table(params, [row[:n] for row in group.matrix])
     shift = np.ravel_multi_index(xs.T, (p,) * n)
     order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
     c = int(np.count_nonzero(shift == 0))

@@ -91,26 +91,12 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Mat, Vec]:
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def nullspace(rows: Iterable[Sequence[int]], ncols: int, p: int) -> Mat:
-    """Basis of the right nullspace {v : rows @ v = 0 mod p}."""
-    red, pivots = rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for row, c in zip(red, pivots):
-            v[c] = (-row[f]) % p
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def solve_affine(rows: Iterable[Sequence[int]], rhs: Sequence[int], ncols: int,
                  p: int) -> tuple[Vec | None, Mat]:
     """Solve rows @ v = rhs mod p.
 
     Returns (particular_solution_or_None, nullspace_basis); the solution set
-    is particular + span(basis).
+    is particular + span(basis), with the basis read off the same rref.
     """
     aug = [list(row) + [b % p] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug, p)
@@ -119,7 +105,13 @@ def solve_affine(rows: Iterable[Sequence[int]], rhs: Sequence[int], ncols: int,
     part = [0] * ncols
     for row, c in zip(red, pivots):
         part[c] = row[ncols]
-    return tuple(part), nullspace([r[:ncols] for r in red], ncols, p)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):  # 1 at free column f
+        v = [int(c == f) for c in range(ncols)]
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] % p
+        basis.append(tuple(v))
+    return tuple(part), tuple(basis)
 
 
 # ---------------------------------------------------------------------------

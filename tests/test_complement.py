@@ -37,8 +37,8 @@ from mubkit.complement import (
 )
 from mubkit.errors import (CensusViolationError, GuardExceededError, MubkitError,
                            TheoremViolationError)
-from mubkit.groups import (CompatGroup, _member_table, classify_basis, lex_digits,
-                           qupit_factor_distribution, type_rows)
+from mubkit.groups import (CompatGroup, FactorDistribution, _member_table, classify_basis,
+                           lex_digits, type_rows)
 from mubkit.pauli import symplectic_form_vec
 from mubkit.stoich import profile_table
 from mubkit.zplinalg import SystemParams, rref, solve_affine
@@ -369,15 +369,30 @@ def _first_bad_class_loop_oracle(c):
     return None
 
 
+def _factor_distribution_oracle(group, qupit):
+    """The earlier scalar qupit_factor_distribution: the rank of the columns
+    (x_i | z_i) mod p from Python int minors against the first nonzero row."""
+    p, n = group.params.p, group.params.n
+    cols = [(row[qupit] % p, row[n + qupit] % p) for row in group.matrix]
+    a, b = next(((a, b) for a, b in cols if a or b), (0, 0))
+    if not (a or b):
+        raise TheoremViolationError(
+            f"qupit {qupit} shows 1 local classes with tallies [{p ** n}]")
+    if any((a * d - b * c) % p for c, d in cols):  # a row off the first one's line
+        return FactorDistribution("entangled", None, p ** (n - 2))
+    scale = pow(a if a else b, p - 2, p)  # make the first nonzero exponent 1
+    return FactorDistribution("pure", ((a * scale) % p, (b * scale) % p), p ** (n - 1))
+
+
 def _census_oracle(c):
-    """The earlier purity_census loop, one qupit_factor_distribution per class
-    and qupit; the census, or the type and text of what it raises."""
+    """The earlier purity_census loop, one scalar factor distribution per
+    class and qupit; the census, or the type and text of what it raises."""
     p, n = c.params.p, c.params.n
     pure, entangled, tally = [0] * n, [0] * n, [0] * n
     try:
         for cls in c.classes:
             for i in range(n):
-                dist = qupit_factor_distribution(cls, i)
+                dist = _factor_distribution_oracle(cls, i)
                 if dist.kind == "pure":
                     pure[i] += 1
                 else:
