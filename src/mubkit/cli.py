@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from . import stoich
 from .complement import (
     CheckResult,
     Complement,
@@ -287,13 +288,17 @@ def cmd_stoich(args) -> int:
         total = count_solutions(table, forbid=forbid, fixes=fixes)
         print(json.dumps({"count": total}) if args.format == "json" else total)
         return 0
-    sols = enumerate_solutions(table, forbid=forbid, fixes=fixes)
     labels = [l for l in table.labels if l not in forbid]
     # the list and its rendering, per value: at (5,4), 198,379 solutions of
-    # 7 values grew VmHWM by 227 MB as text, 339 MB as json and 96 MB as csv
-    guard_memory(len(sols) * len(labels) * {"text": 200, "json": 300, "csv": 100}[args.format],
-                 f"a {args.format} listing of {len(sols)} solutions",
+    # 7 values grew VmHWM by 227 MB as text, 339 MB as json and 96 MB as csv.
+    # They are counted before the DFS lists them, through the stoich module:
+    # perfbench's layer trace wraps this module's count_solutions and adds
+    # its results to the solutions a command reads
+    total = stoich.count_solutions(table, forbid=forbid, fixes=fixes)
+    guard_memory(total * len(labels) * {"text": 200, "json": 300, "csv": 100}[args.format],
+                 f"a {args.format} listing of {total} solutions",
                  "; count them with --count-only or narrow them with --fix")
+    sols = enumerate_solutions(table, forbid=forbid, fixes=fixes)
     _render(args.format,
             lambda: {"count": len(sols), "solutions": sols},
             lambda: [labels] + [[s[l] for l in labels] for s in sols],

@@ -3,15 +3,16 @@
 Every full complement must distribute its p^n + 1 bases over the named types
 so that the per-column n-body totals come out right. That gives a small
 linear system over nonnegative integers; this module builds the profile
-tables, enumerates and extremizes the solutions, reduces the system to the
+tables, enumerates, counts and extremizes the solutions, reduces the system to the
 quoted equation forms, and splits type counts into per-variant counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import itemgetter
 
 from . import errors
@@ -132,7 +133,107 @@ def enumerate_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
 
 def count_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
                     fixes: dict[str, int] | None = None) -> int:
-    return sum(1 for _ in _iter_solutions(table, forbid, fixes))
+    """How many solutions enumerate_solutions lists, counted without listing.
+
+    The fixed counts are substituted and the system solved once over Q, its
+    pivot labels taken from the end of the label order. Scaled to integers,
+    each pivot row reads d x = b - sum_f a_f x_f over the free labels f. A DFS
+    bounded as in _iter_solutions walks every free label but the last; for
+    each prefix the last one, t, keeps every pivot label nonnegative on an
+    interval set by the signs of a_t, and integral on the congruences
+    a_t t = b - ... (mod d), joined by CRT. Past errors.NODE_GUARD nodes,
+    GuardExceededError is raised.
+    """
+    _, coeffs, rhs, fixed = _system(table, tuple(forbid), fixes or {})
+    for j, v in enumerate(fixed):
+        if v is not None:
+            rhs = [b - row[j] * v for row, b in zip(coeffs, rhs)]
+    if min(rhs) < 0:
+        return 0
+    unknown = [j for j, v in enumerate(fixed) if v is None]
+    rows = [[Fraction(row[j]) for j in unknown] + [Fraction(b)] for row, b in zip(coeffs, rhs)]
+    pivots = set()  # positions in unknown; row i holds the i-th pivot found
+    for j in reversed(range(len(unknown))):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if at is None:
+            continue
+        lead = rows[at]
+        rows[at], rows[r] = rows[r], [v / lead[j] for v in lead]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
+        pivots.add(j)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return 0
+    free = [j for j in range(len(unknown)) if j not in pivots]
+    # per pivot row: d, then b and a_f scaled by d, all integers
+    scaled = []
+    for row in rows[:len(pivots)]:
+        d = lcm(*(row[j].denominator for j in free), row[-1].denominator)
+        scaled.append((d, int(row[-1] * d), [int(row[j] * d) for j in free]))
+    cols = [[coeffs[e][unknown[j]] for e in range(len(coeffs))] for j in free]
+    steps = [[a[i] for _, _, a in scaled] for i in range(len(free))]
+    # the last free label t: a_t t = b (mod d) holds iff g | b and
+    # t = b/g inv (mod d/g), g = gcd(a_t, d); CRT folds these in row order
+    # into one t = res (mod mod), each with h = gcd(mod, d/g) and the inverse
+    # of mod/h modulo d/(g h), fixed by the rows alone
+    last = []
+    mod = 1
+    for d, _, a in scaled:
+        at = a[-1] if a else 0
+        g = gcd(at, d)
+        m = d // g
+        h = gcd(mod, m)
+        last.append((at, g, m, pow(at // g, -1, m), h, pow(mod // h, -1, m // h), mod))
+        mod = mod // h * m
+
+    def tail(hi: int, partial: list[int]) -> int:
+        """The values of t in [0, hi] that keep every pivot label a
+        nonnegative integer."""
+        lo, res = 0, 0
+        for b, (at, g, m, inv, h, crt, before) in zip(partial, last):
+            if at > 0:
+                hi = min(hi, b // at)
+            elif at < 0:
+                lo = max(lo, -(b // -at))
+            elif b < 0:
+                return 0
+            if b % g:
+                return 0
+            r = b // g * inv % m
+            if (r - res) % h:
+                return 0
+            res += (r - res) // h * crt % (m // h) * before
+        return max(0, (hi - res) // mod - (lo - 1 - res) // mod)
+
+    # a node is the root or one value of a free label in the DFS
+    nodes = 0
+    guard = errors.NODE_GUARD
+
+    def visit(count: int) -> None:
+        nonlocal nodes
+        nodes += count
+        if nodes > guard:
+            raise GuardExceededError(f"stoich search passed the node guard {guard}")
+
+    def rec(i: int, residuals: list[int], partial: list[int]) -> int:
+        col, step = cols[i], steps[i]
+        hi = min(r // c for r, c in zip(residuals, col) if c)
+        visit(hi + 1)
+        if i == len(free) - 2:
+            # t is bounded by the all-ones total row
+            return sum(tail(residuals[-1] - v, [b - s * v for b, s in zip(partial, step)])
+                       for v in range(hi + 1))
+        return sum(rec(i + 1, [r - c * v for r, c in zip(residuals, col)],
+                       [b - s * v for b, s in zip(partial, step)])
+                   for v in range(hi + 1))
+
+    partial = [b for _, b, _ in scaled]
+    visit(1)
+    if len(free) < 2:
+        return tail(rhs[-1] if free else 0, partial)
+    return rec(0, rhs, partial)
 
 
 def extremize(table: ProfileTable, label: str, direction: str = "min",

@@ -369,32 +369,49 @@ def test_param_guard_exits_fast(capsys, tmp_path, argv):
     assert "is past the guard p < 2^31, n <= 64" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["stoich", "--p", "101", "--n", "4", "--count-only"],
-    ["stoich", "--p", "101", "--n", "4", "--minimize", "P4"],
-    ["stoich", "--p", "2147483647", "--n", "3", "--count-only"],
-    ["tables", "--which", "I", "--p", "2147483647"],
+@pytest.mark.parametrize("argv,want", [
+    (["stoich", "--p", "101", "--n", "4", "--count-only"], None),
+    (["stoich", "--p", "101", "--n", "4", "--minimize", "P4"], None),
+    (["stoich", "--p", "2147483647", "--n", "3", "--count-only"], "2147483649\n"),
+    (["tables", "--which", "I", "--p", "2147483647"], None),
 ], ids=["count-101-4", "minimize-101-4", "count-maxp-3", "table-I-maxp"])
-def test_stoich_node_guard_exit(capsys, monkeypatch, argv):
-    # each of these walks far more DFS nodes than any guard admits
+def test_stoich_node_guard_exit(capsys, monkeypatch, argv, want):
+    # all but one walk far more DFS nodes than any guard admits; the 3 qupit
+    # count has one free label, so it is one closed form at any p
     monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 1000)
     code, out, err = run(capsys, *argv)
+    if want is not None:
+        assert (code, out) == (0, want)
+        return
     assert code == 3 and out == ""
     assert "stoich search passed the node guard 1000" in err
 
 
+def test_stoich_listing_guard_before_listing(capsys, monkeypatch):
+    # the 1,889,244 solutions of (7,4) would hold 2.6 GB as text: counted
+    # first, they exit 3 before the DFS lists one
+    def enumerate_solutions(*args, **kwargs):
+        raise AssertionError("listed past the memory guard")
+    monkeypatch.setattr(mubkit.cli, "enumerate_solutions", enumerate_solutions)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "stoich", "--p", "7", "--n", "4")
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "a text listing of 1889244 solutions would hold 2644941600 bytes" in err
+
+
 def test_one_node_guard_bounds_both_searches(capsys, monkeypatch):
-    # a (2,4) first hit takes 332 spread search nodes, counting (3,4) 18,566
+    # a (2,4) first hit takes 332 spread search nodes, listing (3,4) 18,566
     # stoich nodes
     monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 331)
     code, out, err = run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")
     assert (code, out) == (3, "") and "spread search passed the node guard 331" in err
-    code, out, err = run(capsys, "stoich", "--p", "3", "--n", "4", "--count-only")
+    code, out, err = run(capsys, "stoich", "--p", "3", "--n", "4")
     assert (code, out) == (3, "") and "stoich search passed the node guard 331" in err
     monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_566)
     assert run(capsys, "complement", "--p", "2", "--n", "4", "--method", "search")[0] == 0
-    code, out, _ = run(capsys, "stoich", "--p", "3", "--n", "4", "--count-only")
-    assert code == 0 and "6005" in out
+    code, out, _ = run(capsys, "stoich", "--p", "3", "--n", "4")
+    assert code == 0 and out.endswith("6005 solutions\n")
 
 
 def test_complement_search_2_5(capsys, tmp_path):

@@ -12,6 +12,7 @@ from mubkit.stoich import (
     P3_N4_FULL_SOLUTION_COUNT,
     P5_N4_FULL_SOLUTION_COUNT,
     ProfileTable,
+    _iter_solutions,
     count_solutions,
     derived_equations,
     enumerate_solutions,
@@ -187,14 +188,29 @@ def test_full_counts_match_frozen_constants():
     assert count_solutions(_table(5, 4)) == P5_N4_FULL_SOLUTION_COUNT == 198379
 
 
+def test_counts_past_the_listing_dfs():
+    # (7,4) takes 24 s and (11,4) passes the node guard when every solution
+    # is visited; n = 3 holds one free label, so any p is one closed form
+    assert count_solutions(_table(7, 4)) == 1_889_244
+    assert count_solutions(_table(11, 4)) == 39_438_047
+    for p in (10007, 2 ** 31 - 1):
+        assert count_solutions(_table(p, 3)) == p + 2
+
+
 def test_node_guard_counts_every_dfs_node(monkeypatch):
-    # counting (3,4) visits 18,566 nodes, (5,4) 598,352: both well inside
+    # counting (3,4) visits 550 nodes and (5,4) 3266; listing or extremizing
+    # (3,4) visits 18,566 and (5,4) 598,352: all well inside
     assert NODE_GUARD >= 10 * 598_352
-    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_566)
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 550)
     assert count_solutions(_table(3, 4)) == 6005
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 549)
+    with pytest.raises(GuardExceededError, match="stoich search passed the node guard 549"):
+        count_solutions(_table(3, 4))
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_566)
+    assert len(enumerate_solutions(_table(3, 4))) == 6005
+    assert extremize(_table(3, 4), "P4", "max")["P4"] == 60
     monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_565)
-    for run in (lambda t: count_solutions(t), enumerate_solutions,
-                lambda t: extremize(t, "P4", "max")):
+    for run in (enumerate_solutions, lambda t: extremize(t, "P4", "max")):
         with pytest.raises(GuardExceededError, match="stoich search passed the node guard 18565"):
             run(_table(3, 4))
 
@@ -318,12 +334,16 @@ def _branchy_solutions(table, forbid=(), fixes=None):
     yield from rec(0, rhs)
 
 
+def _forbid_fix_sets(table):
+    p, last = table.params.p, table.labels[-1]
+    return (((), {}), ((last,), {}), ((), {"PI": 1}),
+            ((last,), {"PI": p + 1}), ((), {"PI": 0, last: 0}))
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])
 def test_solver_matches_branchy_oracle(p, n):
     table = _table(p, n)
-    last = table.labels[-1]
-    for forbid, fixes in (((), {}), ((last,), {}), ((), {"PI": 1}),
-                          ((last,), {"PI": p + 1}), ((), {"PI": 0, last: 0})):
+    for forbid, fixes in _forbid_fix_sets(table):
         want = list(_branchy_solutions(table, forbid, fixes))
         assert enumerate_solutions(table, forbid, fixes) == want, (forbid, fixes)
         assert count_solutions(table, forbid, fixes) == len(want), (forbid, fixes)
@@ -337,6 +357,16 @@ def test_solver_matches_branchy_oracle(p, n):
                         extremize(table, label, direction, forbid, fixes)
                 else:
                     assert extremize(table, label, direction, forbid, fixes) == best
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (2, 3, 4)])
+def test_count_matches_dfs(p, n):
+    # the closed form against the DFS that lists, infeasible sets included:
+    # at (5,4) with P4 forbidden no distribution is left
+    table = _table(p, n)
+    for forbid, fixes in _forbid_fix_sets(table):
+        want = sum(1 for _ in _iter_solutions(table, forbid, fixes))
+        assert count_solutions(table, forbid, fixes) == want, (forbid, fixes)
 
 
 def test_negative_table_entries_rejected():
