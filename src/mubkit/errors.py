@@ -57,7 +57,7 @@ MEMORY_GUARD = 1 << 30
 # The spread search visits about 100k nodes per second on a 2-vCPU box (a
 # first hit at (2,4) takes 332, the whole (2,3) sweep 6520), the stoich DFS
 # about 300k (listing or extremizing (5,4) takes 598,352, (3,4) 18,566;
-# counting them, the last free label in closed form, 3266 and 550)
+# counting them, stopped at the last free label, 3215 and 531)
 NODE_GUARD = 10_000_000
 
 

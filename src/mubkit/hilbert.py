@@ -9,10 +9,11 @@ from folding in one table row at a time; the projector columns of a graph
 class are written a block of rows at a time, those of any other class from
 coset sums over blocks of columns, placed by Z_p^n digit sums; the
 proof comes from the generator eigen-equations on the same table. mub_check
-forms A^H B a block of rows at a time and keeps only its largest and smallest
-magnitude; it takes the rows of A^H from its left operand, a fresh conjugate
-block of a MubBasis, or a slice of Bras, a basis turned into its adjoint in
-place to serve a whole row of pairs. Purities take one batched product per
+forms A^H B a block of rows at a time, _BLOCK_BYTES of rows but at least two
+and at least d / 128, and keeps only its largest and smallest magnitude; it
+takes the rows of A^H from its left operand, a fresh conjugate block of a
+MubBasis, or a slice of Bras, a basis turned into its adjoint in place to
+serve a whole row of pairs. Purities take one batched product per
 qupit over a block of columns. Memory stays O(d^2), with about one d x d
 array of scratch beside a basis. For p = 2 each site factor X^x Z^z carries
 the phase i^(x z), which makes every group element square to the identity;
@@ -327,8 +328,9 @@ def mub_check(a: MubBasis | Bras, b: MubBasis) -> float:
         raise SameGroupError("both bases diagonalize the same compatibility group")
     d = a.group.params.dim
     # A^H B a block of rows at a time; no block is one row, since BLAS takes a
-    # one-row product as a matrix-vector product, which rounds differently
-    step = max(2, _BLOCK_BYTES // (16 * d))
+    # one-row product as a matrix-vector product, which rounds differently,
+    # and a pair takes at most about 128 blocks, since each streams all of B
+    step = max(2, _BLOCK_BYTES // (16 * d), d // 128)
     edges = [*range(0, d - 1, step), d]
     hi, lo = 0.0, np.inf
     for top, end in zip(edges, edges[1:]):

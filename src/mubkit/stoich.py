@@ -3,8 +3,9 @@
 Every full complement must distribute its p^n + 1 bases over the named types
 so that the per-column n-body totals come out right. That gives a small
 linear system over nonnegative integers; this module builds the profile
-tables, enumerates, counts and extremizes the solutions, reduces the system to the
-quoted equation forms, and splits type counts into per-variant counts.
+tables, enumerates, counts and extremizes the solutions with one DFS, reduces
+the system to the quoted equation forms, and splits type counts into
+per-variant counts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import errors
 from .errors import GuardExceededError, InfeasibleError, MubkitError
@@ -72,21 +73,104 @@ def _system(table: ProfileTable, forbid: tuple[str, ...], fixes: dict[str, int])
     return labels, coeffs, rhs, [fixes.get(l) for l in labels]
 
 
-def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
-                    fixes: dict[str, int] | None = None):
+def _closed_form(coeffs: list[list[int]], fixed: list[int | None]):
+    """The depth at which a count stops, and its count of the last free label.
+
+    The unfixed labels are solved over Q, the row operations kept as each
+    row's multipliers L of the equations, with the pivot labels taken from the
+    end of the label order, so every unfixed label after the last free one, t,
+    is a pivot. With r the residuals at t's depth less the fixed labels after
+    t, scaled to integers each row of a pivot after t reads d x = L r - a t,
+    and every other row L r = 0. t is nonnegative and at most the total row's
+    residual; each pivot row keeps x nonnegative on an interval set by the
+    sign of a, and integral on a t = L r (mod d). With no free label the count
+    stops at the root with a = 0 and t = 0.
+    """
+    neq = len(coeffs)
+    unknown = [j for j, v in enumerate(fixed) if v is None]
+    rows = [[Fraction(coeffs[e][j]) for j in unknown] + [Fraction(e == k) for k in range(neq)]
+            for e in range(neq)]
+    pivots = []  # positions in unknown; row i holds the i-th pivot found
+    for j in reversed(range(len(unknown))):
+        r = len(pivots)
+        at = next((i for i in range(r, neq) if rows[i][j]), None)
+        if at is None:
+            continue
+        lead = rows[at]
+        rows[at], rows[r] = rows[r], [v / lead[j] for v in lead]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
+        pivots.append(j)
+    t = next((j for j in reversed(range(len(unknown))) if j not in pivots), None)
+    stop = 0 if t is None else unknown[t]
+    # the fixed labels after t, one constant per equation; t itself is unfixed
+    const = [sum(c * v for c, v in zip(row[stop:], fixed[stop:]) if v is not None)
+             for row in coeffs]
+    zero, last = [], []
+    mod = 1
+    for i, row in enumerate(rows):
+        a = Fraction(0) if t is None else row[t]
+        d = lcm(a.denominator, *(v.denominator for v in row[len(unknown):]))
+        mult = [int(v * d) for v in row[len(unknown):]]
+        scaled = (mult, sum(map(mul, mult, const)))
+        if i >= len(pivots) or t is not None and pivots[i] < t:
+            zero.append(scaled)
+            continue
+        # a t = b (mod d) holds iff g | b and t = b/g inv (mod d/g),
+        # g = gcd(a, d); CRT folds these in row order into one t = res (mod
+        # mod), each with h = gcd(mod, d/g) and the inverse of mod/h modulo
+        # d/(g h), fixed by the rows alone
+        a = int(a * d)
+        g = gcd(a, d)
+        m = d // g
+        h = gcd(mod, m)
+        last.append((*scaled, a, g, m, pow(a // g, -1, m), h, pow(mod // h, -1, m // h), mod))
+        mod = mod // h * m
+
+    def tail(residuals: list[int]) -> int:
+        """The values of t that keep every pivot label after it a
+        nonnegative integer."""
+        if any(sum(map(mul, mult, residuals)) != c for mult, c in zero):
+            return 0
+        lo, hi, res = 0, 0 if t is None else residuals[-1], 0
+        for mult, c, a, g, m, inv, h, crt, before in last:
+            b = sum(map(mul, mult, residuals)) - c
+            if a > 0:
+                hi = min(hi, b // a)
+            elif a < 0:
+                lo = max(lo, -(b // -a))
+            elif b < 0:
+                return 0
+            if b % g:
+                return 0
+            r = b // g * inv % m
+            if (r - res) % h:
+                return 0
+            res += (r - res) // h * crt % (m // h) * before
+        return max(0, (hi - res) // mod - (lo - 1 - res) // mod)
+
+    return stop, tail
+
+
+def _search(table: ProfileTable, forbid: tuple[str, ...] = (),
+            fixes: dict[str, int] | None = None, count: bool = False):
     """DFS in the canonical label order with budget pruning.
 
     Whenever no later label can still feed an equation, that equation pins the
     current label exactly, so trailing variables are determined, not searched.
     As entries are nonnegative and the total row is all ones, each label is
-    bounded by hi and no residual goes negative. Past errors.NODE_GUARD
-    nodes, GuardExceededError is raised.
+    bounded by hi and no residual goes negative. It yields every solution, or
+    with count set stops at the last free label and yields, per prefix, how
+    many values of that label complete one (see _closed_form). Past
+    errors.NODE_GUARD nodes, GuardExceededError is raised.
     """
     labels, coeffs, rhs, fixed = _system(table, tuple(forbid), fixes or {})
     m = len(labels)
     neq = len(coeffs)
     later_pos = [[any(coeffs[e][j] > 0 for j in range(i + 1, m))
                   for i in range(m)] for e in range(neq)]
+    stop, tail = _closed_form(coeffs, fixed) if count else (None, None)
     acc = [0] * m
     nodes = 0
     guard = errors.NODE_GUARD
@@ -96,6 +180,9 @@ def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
         nodes += 1
         if nodes > guard:
             raise GuardExceededError(f"stoich search passed the node guard {guard}")
+        if i == stop:
+            yield tail(residuals)
+            return
         if i == m:
             if all(v == 0 for v in residuals):
                 yield dict(zip(labels, acc))
@@ -128,112 +215,14 @@ def _iter_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
 def enumerate_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
                         fixes: dict[str, int] | None = None) -> list[dict[str, int]]:
     """All nonnegative integer solutions, lexicographic in the label order."""
-    return list(_iter_solutions(table, forbid, fixes))
+    return list(_search(table, forbid, fixes))
 
 
 def count_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
                     fixes: dict[str, int] | None = None) -> int:
-    """How many solutions enumerate_solutions lists, counted without listing.
-
-    The fixed counts are substituted and the system solved once over Q, its
-    pivot labels taken from the end of the label order. Scaled to integers,
-    each pivot row reads d x = b - sum_f a_f x_f over the free labels f. A DFS
-    bounded as in _iter_solutions walks every free label but the last; for
-    each prefix the last one, t, keeps every pivot label nonnegative on an
-    interval set by the signs of a_t, and integral on the congruences
-    a_t t = b - ... (mod d), joined by CRT. Past errors.NODE_GUARD nodes,
-    GuardExceededError is raised.
-    """
-    _, coeffs, rhs, fixed = _system(table, tuple(forbid), fixes or {})
-    for j, v in enumerate(fixed):
-        if v is not None:
-            rhs = [b - row[j] * v for row, b in zip(coeffs, rhs)]
-    if min(rhs) < 0:
-        return 0
-    unknown = [j for j, v in enumerate(fixed) if v is None]
-    rows = [[Fraction(row[j]) for j in unknown] + [Fraction(b)] for row, b in zip(coeffs, rhs)]
-    pivots = set()  # positions in unknown; row i holds the i-th pivot found
-    for j in reversed(range(len(unknown))):
-        r = len(pivots)
-        at = next((i for i in range(r, len(rows)) if rows[i][j]), None)
-        if at is None:
-            continue
-        lead = rows[at]
-        rows[at], rows[r] = rows[r], [v / lead[j] for v in lead]
-        for i, row in enumerate(rows):
-            if i != r and row[j]:
-                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
-        pivots.add(j)
-    if any(row[-1] for row in rows[len(pivots):]):
-        return 0
-    free = [j for j in range(len(unknown)) if j not in pivots]
-    # per pivot row: d, then b and a_f scaled by d, all integers
-    scaled = []
-    for row in rows[:len(pivots)]:
-        d = lcm(*(row[j].denominator for j in free), row[-1].denominator)
-        scaled.append((d, int(row[-1] * d), [int(row[j] * d) for j in free]))
-    cols = [[coeffs[e][unknown[j]] for e in range(len(coeffs))] for j in free]
-    steps = [[a[i] for _, _, a in scaled] for i in range(len(free))]
-    # the last free label t: a_t t = b (mod d) holds iff g | b and
-    # t = b/g inv (mod d/g), g = gcd(a_t, d); CRT folds these in row order
-    # into one t = res (mod mod), each with h = gcd(mod, d/g) and the inverse
-    # of mod/h modulo d/(g h), fixed by the rows alone
-    last = []
-    mod = 1
-    for d, _, a in scaled:
-        at = a[-1] if a else 0
-        g = gcd(at, d)
-        m = d // g
-        h = gcd(mod, m)
-        last.append((at, g, m, pow(at // g, -1, m), h, pow(mod // h, -1, m // h), mod))
-        mod = mod // h * m
-
-    def tail(hi: int, partial: list[int]) -> int:
-        """The values of t in [0, hi] that keep every pivot label a
-        nonnegative integer."""
-        lo, res = 0, 0
-        for b, (at, g, m, inv, h, crt, before) in zip(partial, last):
-            if at > 0:
-                hi = min(hi, b // at)
-            elif at < 0:
-                lo = max(lo, -(b // -at))
-            elif b < 0:
-                return 0
-            if b % g:
-                return 0
-            r = b // g * inv % m
-            if (r - res) % h:
-                return 0
-            res += (r - res) // h * crt % (m // h) * before
-        return max(0, (hi - res) // mod - (lo - 1 - res) // mod)
-
-    # a node is the root or one value of a free label in the DFS
-    nodes = 0
-    guard = errors.NODE_GUARD
-
-    def visit(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > guard:
-            raise GuardExceededError(f"stoich search passed the node guard {guard}")
-
-    def rec(i: int, residuals: list[int], partial: list[int]) -> int:
-        col, step = cols[i], steps[i]
-        hi = min(r // c for r, c in zip(residuals, col) if c)
-        visit(hi + 1)
-        if i == len(free) - 2:
-            # t is bounded by the all-ones total row
-            return sum(tail(residuals[-1] - v, [b - s * v for b, s in zip(partial, step)])
-                       for v in range(hi + 1))
-        return sum(rec(i + 1, [r - c * v for r, c in zip(residuals, col)],
-                       [b - s * v for b, s in zip(partial, step)])
-                   for v in range(hi + 1))
-
-    partial = [b for _, b, _ in scaled]
-    visit(1)
-    if len(free) < 2:
-        return tail(rhs[-1] if free else 0, partial)
-    return rec(0, rhs, partial)
+    """How many solutions enumerate_solutions lists, from the same DFS stopped
+    at the last free label, whose values it counts in closed form."""
+    return sum(_search(table, forbid, fixes, count=True))
 
 
 def extremize(table: ProfileTable, label: str, direction: str = "min",
@@ -248,7 +237,7 @@ def extremize(table: ProfileTable, label: str, direction: str = "min",
         raise ValueError(f"unknown label {label!r}, expected one of " + ", ".join(table.labels))
     pick = min if direction == "min" else max
     # min and max keep the first extreme they meet, the lex-first solution
-    best = pick(_iter_solutions(table, forbid, fixes), key=itemgetter(label), default=None)
+    best = pick(_search(table, forbid, fixes), key=itemgetter(label), default=None)
     if best is None:
         raise InfeasibleError(
             f"no distribution satisfies the constraints (forbid={list(forbid)}, fixes={fixes})")

@@ -607,6 +607,30 @@ def test_mub_check_bit_identical_to_elementwise_oracle(monkeypatch, p, n):
         assert mub_check(bent, bases[1]) == mub_check(_bras(bent), bases[1]) == want > 1e-8
 
 
+def test_mub_check_takes_at_most_128_row_blocks(monkeypatch):
+    # at d = 512 a one-byte bound gets 128 blocks of four rows, d / 128, not
+    # 256 of two, and the same bits as the default blocks of 16 rows. The two
+    # graph classes [I | A] and [I | A + I] are unbiased, as their difference
+    # I is invertible
+    params = SystemParams(2, 9)
+    upper = np.triu(np.random.default_rng(29).integers(0, 2, (9, 9)), 1)
+    a, b = (eigenbasis(CompatGroup(params, tuple(map(tuple, np.hstack([np.eye(9, dtype=int), z])))),
+                       check=False)
+            for z in (upper + upper.T, upper + upper.T + np.eye(9, dtype=int)))
+    want = mub_check(a, b)
+    blocks = []
+    bras = MubBasis.bras
+
+    def counted(self, top, end):
+        blocks.append(end - top)
+        return bras(self, top, end)
+
+    monkeypatch.setattr(MubBasis, "bras", counted)
+    monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", 1)
+    assert mub_check(a, b) == want < TOL
+    assert blocks == [4] * 128
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 91])
 def test_bras_transpose_in_place_bit_for_bit(monkeypatch, d):
     # signed zeros in both parts, and square blocks of every side up to d + 1:

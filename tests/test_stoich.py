@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -12,7 +12,7 @@ from mubkit.stoich import (
     P3_N4_FULL_SOLUTION_COUNT,
     P5_N4_FULL_SOLUTION_COUNT,
     ProfileTable,
-    _iter_solutions,
+    _search,
     count_solutions,
     derived_equations,
     enumerate_solutions,
@@ -198,13 +198,14 @@ def test_counts_past_the_listing_dfs():
 
 
 def test_node_guard_counts_every_dfs_node(monkeypatch):
-    # counting (3,4) visits 550 nodes and (5,4) 3266; listing or extremizing
-    # (3,4) visits 18,566 and (5,4) 598,352: all well inside
+    # counting (3,4) visits 531 nodes and (5,4) 3215, the DFS stopped at G4;
+    # listing or extremizing (3,4) visits 18,566 and (5,4) 598,352: all well
+    # inside
     assert NODE_GUARD >= 10 * 598_352
-    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 550)
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 531)
     assert count_solutions(_table(3, 4)) == 6005
-    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 549)
-    with pytest.raises(GuardExceededError, match="stoich search passed the node guard 549"):
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 530)
+    with pytest.raises(GuardExceededError, match="stoich search passed the node guard 530"):
         count_solutions(_table(3, 4))
     monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 18_566)
     assert len(enumerate_solutions(_table(3, 4))) == 6005
@@ -365,7 +366,116 @@ def test_count_matches_dfs(p, n):
     # at (5,4) with P4 forbidden no distribution is left
     table = _table(p, n)
     for forbid, fixes in _forbid_fix_sets(table):
-        want = sum(1 for _ in _iter_solutions(table, forbid, fixes))
+        want = sum(1 for _ in _search(table, forbid, fixes))
+        assert count_solutions(table, forbid, fixes) == want, (forbid, fixes)
+
+
+def _count_walk_oracle(table, forbid=(), fixes=None):
+    """Oracle: the count as a second walk. The fixed counts are substituted
+    and the system solved once over Q, its pivot labels taken from the end of
+    the label order; a DFS walks the free labels but the last, carrying each
+    pivot row's scaled right side, and counts the last one per prefix in
+    closed form, as an interval cut by congruences joined by CRT."""
+    labels = [l for l in table.labels if l not in forbid]
+    fixes = fixes or {}
+    coeffs = [[table.rows[l][c] for l in labels] for c in range(table.params.n)]
+    coeffs.append([1] * len(labels))
+    rhs = list(table.totals) + [table.total_count]
+    for j, lab in enumerate(labels):
+        if lab in fixes:
+            rhs = [b - row[j] * fixes[lab] for row, b in zip(coeffs, rhs)]
+    if min(rhs) < 0:
+        return 0
+    unknown = [j for j, lab in enumerate(labels) if lab not in fixes]
+    rows = [[Fraction(row[j]) for j in unknown] + [Fraction(b)] for row, b in zip(coeffs, rhs)]
+    pivots = set()
+    for j in reversed(range(len(unknown))):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if at is None:
+            continue
+        lead = rows[at]
+        rows[at], rows[r] = rows[r], [v / lead[j] for v in lead]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
+        pivots.add(j)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return 0
+    free = [j for j in range(len(unknown)) if j not in pivots]
+    scaled = []
+    for row in rows[:len(pivots)]:
+        d = lcm(*(row[j].denominator for j in free), row[-1].denominator)
+        scaled.append((d, int(row[-1] * d), [int(row[j] * d) for j in free]))
+    cols = [[coeffs[e][unknown[j]] for e in range(len(coeffs))] for j in free]
+    steps = [[a[i] for _, _, a in scaled] for i in range(len(free))]
+    last = []
+    mod = 1
+    for d, _, a in scaled:
+        at = a[-1] if a else 0
+        g = gcd(at, d)
+        m = d // g
+        h = gcd(mod, m)
+        last.append((at, g, m, pow(at // g, -1, m), h, pow(mod // h, -1, m // h), mod))
+        mod = mod // h * m
+
+    def tail(hi, partial):
+        lo, res = 0, 0
+        for b, (at, g, m, inv, h, crt, before) in zip(partial, last):
+            if at > 0:
+                hi = min(hi, b // at)
+            elif at < 0:
+                lo = max(lo, -(b // -at))
+            elif b < 0:
+                return 0
+            if b % g:
+                return 0
+            r = b // g * inv % m
+            if (r - res) % h:
+                return 0
+            res += (r - res) // h * crt % (m // h) * before
+        return max(0, (hi - res) // mod - (lo - 1 - res) // mod)
+
+    def rec(i, residuals, partial):
+        col, step = cols[i], steps[i]
+        hi = min(r // c for r, c in zip(residuals, col) if c)
+        if i == len(free) - 2:
+            return sum(tail(residuals[-1] - v, [b - s * v for b, s in zip(partial, step)])
+                       for v in range(hi + 1))
+        return sum(rec(i + 1, [r - c * v for r, c in zip(residuals, col)],
+                       [b - s * v for b, s in zip(partial, step)])
+                   for v in range(hi + 1))
+
+    partial = [b for _, b, _ in scaled]
+    if len(free) < 2:
+        return tail(rhs[-1] if free else 0, partial)
+    return rec(0, rhs, partial)
+
+
+def _constraint_sets(table):
+    """No constraint, each label forbidden, each fixed at 0, 1, 2, p + 1 and
+    3p, each pair forbidden, and each forbidden with another fixed at 1."""
+    p, labels = table.params.p, table.labels
+    yield (), {}
+    for lab in labels:
+        yield (lab,), {}
+        for v in (0, 1, 2, p + 1, 3 * p):
+            yield (), {lab: v}
+    for pair in combinations(labels, 2):
+        yield pair, {}
+    for lab in labels:
+        for other in labels:
+            if other != lab:
+                yield (lab,), {other: 1}
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (1, 2, 3, 4)] + [(7, 3)])
+def test_count_matches_count_walk_oracle(p, n):
+    # the count from the listing DFS against the second walk it replaced,
+    # infeasible sets included
+    table = _table(p, n)
+    for forbid, fixes in _constraint_sets(table):
+        want = _count_walk_oracle(table, forbid, fixes)
         assert count_solutions(table, forbid, fixes) == want, (forbid, fixes)
 
 
