@@ -221,7 +221,8 @@ def cmd_verify(args) -> int:
             lambda: [["name", "passed", "detail"]] + [[c.name, c.passed, c.detail] for c in checks],
             lambda: "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}\n"
                             for c in checks)
-            + f"{'OK' if ok else 'FAILED'}  {sum(c.passed for c in checks)}/{len(checks)} checks")
+            + (f"OK  {len(checks)}/{len(checks)} checks" if ok else
+               f"FAILED  {sum(c.passed for c in checks)} of {len(checks)} checks passed"))
     return 0 if ok else 1
 
 

@@ -23,14 +23,13 @@ from .groups import (CompatGroup, MubType, _check_qupit, _member_keys, _qupit_ra
 from .zplinalg import ExtField, Mat, SystemParams, rref, solve_affine
 
 FIELD_DIM_GUARD = 625
-# bytes per block when enumerate_lagrangians makes its tuples (counted as
-# 2n^2 int64 per Lagrangian, about what its list of row keys takes; 4096
-# Lagrangians at (3,4)) and _cover_masks its masks (a p^n x 2n int64
-# member product and a packed p^2n-bit row each, 174 rows at (3,4), 11 at
+# errors.BLOCK_BYTES sizes each batch: enumerate_lagrangians makes its tuples
+# 2n^2 int64 per Lagrangian at a time (about what its list of row keys takes;
+# 512 Lagrangians at (3,4)) and _cover_masks its masks a p^n x 2n int64
+# member product and a packed p^2n-bit row each (21 rows at (3,4), 1 at
 # (5,4)), so neither holds a second copy of the list; verify_spread holds one
-# block of masks beside its running union, and the class checks one int64
-# stack of n x 2n generator matrices in an eighth of it
-BATCH_BYTES = 1 << 20
+# batch of masks beside its running union, and the class checks one int64
+# stack of n x 2n generator matrices
 
 
 @dataclass(frozen=True)
@@ -86,14 +85,12 @@ class SpreadReport:
 
 
 def _class_stacks(params: SystemParams, matrices: list[Mat]) -> Iterator[tuple[int, np.ndarray]]:
-    """The generator matrices as int64 stacks, each with the index of its
-    first matrix.
-
-    A stack takes an eighth of BATCH_BYTES (128 KiB): the tests on it make
-    products of about 1.5 times its bytes, and a 263 kB (2,8) stack with its
-    products left enough freed heap resident to raise the peak RSS of a
-    search-prove benchmark pass by 0.3 MB."""
-    step = max(1, BATCH_BYTES // 8 // (2 * params.n ** 2 * 8))
+    """The generator matrices as int64 stacks of errors.BLOCK_BYTES, each
+    with the index of its first matrix. The tests on a stack make products of
+    about 1.5 times its bytes; a 263 kB (2,8) stack with its products left
+    enough freed heap resident to raise the peak RSS of a search-prove
+    benchmark pass by 0.3 MB."""
+    step = max(1, errors.BLOCK_BYTES // (2 * params.n ** 2 * 8))
     for lo in range(0, len(matrices), step):
         yield lo, np.array(matrices[lo:lo + step], dtype=np.int64)
 
@@ -269,7 +266,7 @@ def _enumeration_bytes(params: SystemParams) -> int:
     measured 322 to 420 bytes per Lagrangian at (5,3), (7,3), (2,5) and
     (3,4), and 1.1 MB at (2,3)."""
     n = params.n
-    return BATCH_BYTES + lagrangian_count(params) * (2 * n * n + 5 * n + 40) * 8
+    return errors.BLOCK_BYTES + lagrangian_count(params) * (2 * n * n + 5 * n + 40) * 8
 
 
 def _subspaces(p: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
@@ -338,7 +335,7 @@ def enumerate_lagrangians(params: SystemParams) -> list[Mat]:
     table = dict(zip(distinct.tolist(),
                      map(tuple, (distinct[:, None] // powers % p).tolist())))
     out: list[Mat] = []
-    rows = max(1, BATCH_BYTES // (2 * n * n * 8))
+    rows = max(1, errors.BLOCK_BYTES // (2 * n * n * 8))
     for lo in range(0, total, rows):
         out += [tuple(map(table.__getitem__, m)) for m in keys[order[lo:lo + rows]].tolist()]
     return out
@@ -349,11 +346,11 @@ def _cover_masks(params: SystemParams, lagrangians: list[Mat]) -> Iterator[int]:
 
     The member keys of a batch of Lagrangians come from one product, and
     their bits are OR-ed straight into packed rows of p^2n bits; a batch takes
-    as many Lagrangians as BATCH_BYTES holds of their int64 products and
-    packed rows. The masks are yielded in order, one batch at a time."""
+    as many Lagrangians as errors.BLOCK_BYTES holds of their int64 products
+    and packed rows. The masks are yielded in order, one batch at a time."""
     p, n = params.p, params.n
     width = (p ** (2 * n) + 7) // 8
-    rows = max(1, BATCH_BYTES // (p ** n * 2 * n * 8 + width))
+    rows = max(1, errors.BLOCK_BYTES // (p ** n * 2 * n * 8 + width))
     for lo in range(0, len(lagrangians), rows):
         keys = _member_keys(params, lagrangians[lo:lo + rows])
         packed = np.zeros((len(keys), width), dtype=np.uint8)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the one memory guard and the one
-search-node guard."""
+"""Exception types shared across the package, the one memory guard, the one
+search-node guard and the one scratch budget of a batched step."""
 
 from __future__ import annotations
 
@@ -59,6 +59,9 @@ MEMORY_GUARD = 1 << 30
 # about 300k (listing or extremizing (5,4) takes 598,352, (3,4) 18,566;
 # counting them, stopped at the last free label, 3215 and 531)
 NODE_GUARD = 10_000_000
+# the most bytes of scratch one batched step takes, read as its loop starts: a
+# block of Hilbert rows or columns, a class stack, a batch of masks or tuples
+BLOCK_BYTES = 1 << 17
 
 
 def guard_memory(need: int, what: str, hint: str = "") -> None:

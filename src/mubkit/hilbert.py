@@ -8,16 +8,17 @@ to build and to prove the basis: the amplitudes of all p^n group elements come
 from folding in one table row at a time; the projector columns of a graph
 class are written a block of rows at a time, those of any other class from
 coset sums over blocks of columns, placed by Z_p^n digit sums; the
-proof comes from the generator eigen-equations on the same table. mub_check
-forms A^H B a block of rows at a time, _BLOCK_BYTES of rows but at least two
-and at least d / 128, and keeps only its largest and smallest magnitude; it
-takes the rows of A^H from its left operand, a fresh conjugate block of a
-MubBasis, or a slice of Bras, a basis turned into its adjoint in place to
-serve a whole row of pairs. Purities take one batched product per
-qupit over a block of columns. Memory stays O(d^2), with about one d x d
-array of scratch beside a basis. For p = 2 each site factor X^x Z^z carries
-the phase i^(x z), which makes every group element square to the identity;
-for odd p the plain products already have order p.
+proof comes from the generator eigen-equations on the same table. Every
+block holds errors.BLOCK_BYTES of complex rows or columns, read when its loop
+starts, but at least one row or column. mub_check forms A^H B a block of rows
+at a time, at least two rows and at least d / 128, and keeps only its largest
+and smallest magnitude; it takes the rows of A^H from its left operand, a
+fresh conjugate block of a MubBasis, or a slice of Bras, a basis turned into
+its adjoint in place to serve a whole row of pairs. Purities take one batched
+product per qupit over a block of columns. Memory stays O(d^2), with about
+one d x d array of scratch beside a basis. For p = 2 each site factor X^x Z^z
+carries the phase i^(x z), which makes every group element square to the
+identity; for odd p the plain products already have order p.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from math import isqrt
 
 import numpy as np
 
+from . import errors
 from .errors import ProjectorNotRankOneError, SameGroupError
 from .groups import CompatGroup, _check_qupit, _member_table, lex_digits
 from .pauli import PauliOp
@@ -34,9 +36,6 @@ from .zplinalg import SystemParams
 
 TOL = 1e-9
 _TIE = 1e-12
-# bytes of d-entry complex rows that eigenbasis, eigenvalue_deviation,
-# qupit_purities and mub_check take at a time
-_BLOCK_BYTES = 1 << 17
 
 
 def _omega(p: int) -> complex:
@@ -131,12 +130,12 @@ class Bras:
     @classmethod
     def of(cls, basis: MubBasis) -> Bras:
         """Turn basis.vectors into V^H in place, which spends the basis:
-        square blocks of _BLOCK_BYTES trade places across the diagonal, each
+        square blocks of BLOCK_BYTES trade places across the diagonal, each
         pair through one block of scratch, transposed; then every entry is
         conjugated."""
         v = basis.vectors
         d = len(v)
-        side = min(d, max(1, isqrt(_BLOCK_BYTES // 16)))
+        side = min(d, max(1, isqrt(errors.BLOCK_BYTES // 16)))
         scratch = np.empty((side, side), dtype=complex)
         for i in range(0, d, side):
             for j in range(i, d, side):
@@ -168,7 +167,7 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     shift form a coset of the zero-shift subgroup, of size c, and land on the
     same row of P(k) e_s, so each column is the sum over cosets of weighted
     amplitudes. The diagonal that picks s_k needs only the zero-shift
-    weights. For c > 1, _BLOCK_BYTES of columns at a time take their
+    weights. For c > 1, BLOCK_BYTES of columns at a time take their
     diagonal, s_k and coset sums; the amplitude table is then freed, and
     coset u's row in column k, state shift_u plus state s_k, places each sum.
     A graph class has c = 1: every diagonal entry is 1 / d, so s_k = 0, and
@@ -195,7 +194,7 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
     order = np.argsort(shift, kind="stable")  # cosets in turn, zero shift first
     c = int(np.count_nonzero(shift == 0))
     weights = _roots(p).conj() / d  # weights[x] = omega^-x / d
-    step = max(1, _BLOCK_BYTES // (16 * d))
+    step = max(1, errors.BLOCK_BYTES // (16 * d))
     k = np.arange(d)
     if c == 1:
         # G_0 = I alone keeps each |s>, so P(k)[s, s] = 1 / d and s_k = 0; the
@@ -252,9 +251,9 @@ def eigenbasis(group: CompatGroup, check: bool = True) -> MubBasis:
 
 def _column_norms(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm(v, axis=0) bit for bit, without its two whole-array
-    temporaries: the squared magnitudes of _BLOCK_BYTES of rows at a time are
+    temporaries: the squared magnitudes of BLOCK_BYTES of rows at a time are
     added to the running sums row by row, in the order of its reduction."""
-    step = max(1, _BLOCK_BYTES // (16 * v.shape[1]))
+    step = max(1, errors.BLOCK_BYTES // (16 * v.shape[1]))
     acc = np.zeros((step + 1, v.shape[1]))  # row 0 holds the running sums
     for lo in range(0, len(v), step):
         blk = v[lo:lo + step]
@@ -275,9 +274,9 @@ def _deviation(params: SystemParams, v: np.ndarray, perms: np.ndarray,
     """The eigenvalue deviation of the columns v under the generator table
     (perms, amps). G_i sends row r of V to row perm[r], so row perm[r] of
     G_i V - V diag(omega^(k_i)) is amp[r] V[r] - V[perm[r]] omega^(k_i); each
-    generator takes the rows _BLOCK_BYTES at a time."""
+    generator takes the rows BLOCK_BYTES at a time."""
     scale = _roots(params.p)[lex_digits(params.p, params.n)]  # (k, i): omega^(k_i)
-    step = max(1, _BLOCK_BYTES // (16 * params.dim))
+    step = max(1, errors.BLOCK_BYTES // (16 * params.dim))
     worst = 0.0
     for i, (perm, amp) in enumerate(zip(perms, amps)):
         for lo in range(0, params.dim, step):
@@ -299,13 +298,13 @@ def reduced_density(state: np.ndarray, qupit: int, params: SystemParams) -> np.n
 def qupit_purities(vectors: np.ndarray, params: SystemParams) -> np.ndarray:
     """Purity of every qupit in every column; shape (columns, n).
 
-    Columns are taken _BLOCK_BYTES at a time; for each qupit the block is laid
+    Columns are taken BLOCK_BYTES at a time; for each qupit the block is laid
     out as one p x (d / p) matrix M per column, and one batched matmul gives
     every reduced density matrix M M^H."""
     p, n = params.p, params.n
     d, cols = vectors.shape
     out = np.empty((cols, n))
-    step = max(1, _BLOCK_BYTES // (16 * d))
+    step = max(1, errors.BLOCK_BYTES // (16 * d))
     for lo in range(0, cols, step):
         v = vectors[:, lo:lo + step].T  # (c, d), a view
         c = len(v)
@@ -330,7 +329,7 @@ def mub_check(a: MubBasis | Bras, b: MubBasis) -> float:
     # A^H B a block of rows at a time; no block is one row, since BLAS takes a
     # one-row product as a matrix-vector product, which rounds differently,
     # and a pair takes at most about 128 blocks, since each streams all of B
-    step = max(2, _BLOCK_BYTES // (16 * d), d // 128)
+    step = max(2, errors.BLOCK_BYTES // (16 * d), d // 128)
     edges = [*range(0, d - 1, step), d]
     hi, lo = 0.0, np.inf
     for top, end in zip(edges, edges[1:]):

@@ -119,7 +119,7 @@ def test_verify_sampled_proof_reports_deviation(capsys, tmp_path, monkeypatch):
     assert hilbert[1].endswith(" over 10 of 10 pairs")
     assert hilbert[2].startswith("PASS  hilbert-purities (sampled): ")
     assert hilbert[2].endswith(" over 5 of 5 bases")
-    assert len(hilbert) == 3 and out.endswith("FAILED  7/8 checks\n")
+    assert len(hilbert) == 3 and out.endswith("FAILED  7 of 8 checks passed\n")
 
 
 def test_verify_overlaps_hold_no_adjoint_copy(capsys, tmp_path, monkeypatch):
@@ -144,7 +144,7 @@ def test_verify_overlaps_hold_no_adjoint_copy(capsys, tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0 and len(beyond) == 15
-    assert max(beyond) < 4 * mubkit.hilbert._BLOCK_BYTES
+    assert max(beyond) < 4 * mubkit.errors.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("extra,name", [
@@ -160,7 +160,7 @@ def test_verify_stops_at_failing_basis(capsys, tmp_path, monkeypatch, extra, nam
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL  ")]
     assert fails == [f"FAIL  {name}: basis 3: boom"]
-    assert "hilbert-overlaps" not in out and out.endswith("FAILED  5/6 checks\n")
+    assert "hilbert-overlaps" not in out and out.endswith("FAILED  5 of 6 checks passed\n")
 
 
 def test_verify_purities_measure_distance_to_zero_or_one(capsys, tmp_path, monkeypatch):

@@ -254,7 +254,7 @@ def test_verify_cover_matches_oracle(monkeypatch, name, p, n):
     picked = ("pairwise disjoint", "exact cover")
     assert [c for c in verify_spread(comp).checks if c.name in picked] == want
     # two mask rows per batch: verify then reads its masks in several batches
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * mask_row_bytes(p, n))
+    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", 2 * mask_row_bytes(p, n))
     assert [c for c in verify_spread(comp).checks if c.name in picked] == want
 
 
@@ -264,7 +264,7 @@ def test_verify_memory_is_small(monkeypatch):
     params = SystemParams(5, 3)
     comp = field_spread(params)
     tables = len(comp.classes) * params.p ** (2 * params.n)
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 2 * mask_row_bytes(5, 3))
+    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", 2 * mask_row_bytes(5, 3))
     verify_spread(Complement(params, comp.classes[:1]))  # warm lex_digits
     tracemalloc.start()
     try:
@@ -283,7 +283,7 @@ def test_verify_one_row_batch_memory(monkeypatch):
     # took the peak to 41.8 kB
     params = SystemParams(5, 3)
     comp = field_spread(params)
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", 1)
+    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", 1)
     verify_spread(Complement(params, comp.classes[:1]))  # warm lex_digits
     tracemalloc.start()
     try:
@@ -445,8 +445,8 @@ def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
     # one or two classes changed per file, as one kind or two kinds, and the
     # three faults that each verdict must outrank (out of form and not
     # isotropic, canonical and not isotropic, rank-deficient) together
-    # in every order, read at the default BATCH_BYTES, at three classes and
-    # at one class per stack (a stack takes an eighth of BATCH_BYTES)
+    # in every order, read at the default BLOCK_BYTES, at three classes and
+    # at one class per stack
     params = SystemParams(p, n)
     base = [cls.matrix for cls in field_spread(params).classes]
     rng = np.random.default_rng(10 * p + n)
@@ -464,9 +464,9 @@ def test_class_stacks_match_per_class_oracles(monkeypatch, p, n):
             mats[i] = _mutate(mats[i], kind, p, n)
         files.append(mats)
     verdicts = set()
-    for batch in (None, 8 * 3 * 2 * n * n * 8, 1):
+    for batch in (None, 3 * 2 * n * n * 8, 1):
         if batch is not None:
-            monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch)
+            monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", batch)
         for mats in files:
             comp = Complement(params, tuple(CompatGroup(params, m) for m in mats))
             data = to_json_dict(comp)
@@ -613,7 +613,7 @@ def test_enumerate_lagrangians_matches_oracle(monkeypatch, p, n):
     # rows are 2n^2 int64 entries: blocks of 2 rows end inside every list,
     # and a bound below one row still makes blocks of one
     for bound in (2 * 16 * n * n, 1):
-        monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", bound)
+        monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", bound)
         assert enumerate_lagrangians(params) == want
 
 
@@ -651,7 +651,7 @@ def test_enumerate_lagrangians_shares_rows(monkeypatch, p, n):
     want = _tuple_rows_oracle(params)
     for bound in (None, 1):
         if bound is not None:
-            monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", bound)
+            monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", bound)
         got = enumerate_lagrangians(params)
         assert got == want
         distinct = {row for m in got for row in m}
@@ -751,7 +751,7 @@ def test_type_counts_at_3_4_obey_incidence_law():
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (2, 4)])
 def test_cover_masks_match_member_keys(monkeypatch, p, n, batch):
     # batches of 100 rows end inside the list at each size: 135, 1120 and 2295
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch * mask_row_bytes(p, n))
+    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", batch * mask_row_bytes(p, n))
     params = SystemParams(p, n)
     lagrangians = enumerate_lagrangians(params)
     want = [sum(1 << k for k in CompatGroup(params, m).member_keys if k)
@@ -782,7 +782,7 @@ def _cover_masks_oracle(params, lagrangians, rows):
 def test_cover_masks_match_packbits_oracle(monkeypatch, p, n, batch):
     # the packed rows are written bit by bit; the masks must be the same ints,
     # whatever the batch size (batch bytes 1: one Lagrangian per batch)
-    monkeypatch.setattr(mubkit.complement, "BATCH_BYTES", batch)
+    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", batch)
     params = SystemParams(p, n)
     lagrangians = enumerate_lagrangians(params)
     assert list(_cover_masks(params, lagrangians)) == _cover_masks_oracle(params, lagrangians, 64)
@@ -838,8 +838,21 @@ def _spread_key(comp):
     return tuple(v for cls in comp.classes for row in cls.matrix for v in row)
 
 
+def desarguesian_spread_count(p, n):
+    """How many images the field spread has under Sp(2n, p), by orbit-stabilizer:
+    |Sp(2n, p)| = p^(n^2) prod_(i <= n) (p^(2i) - 1) over its stabilizer
+    SigmaL(2, p^n), of order n p^n (p^2n - 1). At n = 2 that is p^2 (p^2 - 1) / 2,
+    and for prime p every spread of W(3, p) is regular; at (2,3) it is
+    1,451,520 / 1,512."""
+    group = p ** (n * n)
+    for i in range(1, n + 1):
+        group *= p ** (2 * i) - 1
+    return group // (n * p ** n * (p ** (2 * n) - 1))
+
+
 @pytest.mark.parametrize("p,n,take,total", [
-    (2, 2, None, 6), (2, 3, None, 960), (3, 2, None, 36), (3, 3, 1, 1), (7, 2, 1, 1),
+    (2, 2, None, desarguesian_spread_count(2, 2)), (2, 3, None, desarguesian_spread_count(2, 3)),
+    (3, 2, None, desarguesian_spread_count(3, 2)), (3, 3, 1, 1), (7, 2, 1, 1),
 ])
 def test_search_matches_chain_oracle(p, n, take, total):
     params = SystemParams(p, n)
@@ -853,6 +866,17 @@ def test_search_matches_chain_oracle(p, n, take, total):
         assert verify_spread(comp).ok
         if n == 2:  # census: p + 1 product classes, the rest Bell bases
             assert complement_distribution(comp).counts == {"PI": p + 1, "B": p * p - p}
+
+
+def test_search_counts_every_spread_of_w3_5():
+    # no oracle: the exhaustive (5,2) search must find the orbit of the field
+    # spread, p^2 (p^2 - 1) / 2 = 300 spreads, each once and in lex order
+    assert [desarguesian_spread_count(p, 2) for p in (2, 3, 5)] == [
+        p * p * (p * p - 1) // 2 for p in (2, 3, 5)]
+    assert desarguesian_spread_count(2, 3) == 1_451_520 // 1_512
+    keys = [_spread_key(comp) for comp in search_spreads(SystemParams(5, 2))]
+    assert len(keys) == desarguesian_spread_count(5, 2) == 300
+    assert keys == sorted(set(keys))
 
 
 def test_search_depth_is_not_bound_by_recursion_limit():

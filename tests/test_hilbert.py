@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import mubkit.errors
 import mubkit.hilbert
 from mubkit.complement import enumerate_lagrangians, field_spread
 from mubkit.errors import ProjectorNotRankOneError, SameGroupError
@@ -262,7 +263,7 @@ def test_eigenbasis_bit_identical_to_earlier_construction(monkeypatch, p, n):
     for cls in _sample_classes(p, n):
         want = _eigenbasis_oracle(cls)
         assert np.array_equal(eigenbasis(cls, check=False).vectors, want)
-        monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", 1)
         assert np.array_equal(eigenbasis(cls, check=False).vectors, want)
         monkeypatch.undo()
 
@@ -299,14 +300,14 @@ def test_eigenbasis_bits_on_every_zero_shift_size(monkeypatch):
         sizes.add("c = 1" if c == 1 else "c = d" if c == d else "1 < c < d")
         want = _eigenbasis_oracle(group).view(np.uint64)
         for block in (1 << 17, 1):
-            monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", block)
             assert np.array_equal(eigenbasis(group, check=False).vectors.view(np.uint64), want)
     assert sizes == {"c = 1", "c = d", "1 < c < d"}
 
 
 @pytest.mark.parametrize("block", [1, 3 * 16 * 81, 1 << 17])
 def test_column_norms_bit_identical_to_linalg_norm(monkeypatch, block):
-    monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", block)
     rng = np.random.default_rng(block)
     for rows, cols in ((1, 1), (5, 5), (81, 81), (256, 256), (100, 7)):
         v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -587,7 +588,7 @@ def test_mub_check_bit_identical_to_elementwise_oracle(monkeypatch, p, n):
     # time, or as few as mub_check takes: a one-byte bound gets two-row blocks
     # (a three-row last one when d is odd), as BLAS makes a one-row product a
     # matrix-vector product, which rounds differently. The left operand is a
-    # basis or its Bras, transposed in square blocks of _BLOCK_BYTES: one block,
+    # basis or its Bras, transposed in square blocks of BLOCK_BYTES: one block,
     # blocks of five or seven rows, which d is no multiple of, and single entries
     d = p ** n
     side = 7 if d % 7 else 5
@@ -596,7 +597,7 @@ def test_mub_check_bit_identical_to_elementwise_oracle(monkeypatch, p, n):
     v = bases[0].vectors
     bent = MubBasis(bases[0].group, v + 1e-6 * rng.standard_normal(v.shape))
     for block in (1 << 17, 3 * 16 * d, 16 * side * side, 1):
-        monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", block)
         for i, a in enumerate(bases):
             want = [_mub_check_oracle(a, b) for b in bases[i + 1:]]
             assert [mub_check(a, b) for b in bases[i + 1:]] == want
@@ -626,7 +627,7 @@ def test_mub_check_takes_at_most_128_row_blocks(monkeypatch):
         return bras(self, top, end)
 
     monkeypatch.setattr(MubBasis, "bras", counted)
-    monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", 1)
     assert mub_check(a, b) == want < TOL
     assert blocks == [4] * 128
 
@@ -645,7 +646,7 @@ def test_bras_transpose_in_place_bit_for_bit(monkeypatch, d):
     want = v.conj().T.copy().view(np.uint64)
     for side in (None, *range(1, min(d, 12) + 2)):
         if side is not None:
-            monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", 16 * side * side)
+            monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", 16 * side * side)
         held = v.copy()
         left = Bras.of(MubBasis(None, held))
         assert left.rows is held and np.array_equal(held.view(np.uint64), want)
@@ -664,7 +665,7 @@ def test_mub_check_memory_is_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < min(3 * mubkit.hilbert._BLOCK_BYTES, a.vectors.nbytes / 2)
+    assert peak < min(3 * mubkit.errors.BLOCK_BYTES, a.vectors.nbytes / 2)
 
 
 @pytest.mark.parametrize("p,n", DIFF_CASES)
@@ -677,7 +678,7 @@ def test_deviation_blocks_bit_identical_to_oracle(monkeypatch, p, n):
                           v + 1e-6 * np.random.default_rng(p + n).standard_normal(v.shape)))
     for block in (None, 1):
         if block is not None:
-            monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", block)
         for basis in bases:
             assert eigenvalue_deviation(basis) == _deviation_oracle(basis)
     assert _deviation_oracle(bases[-1]) > 1e-8
@@ -734,7 +735,7 @@ def test_purities_match_einsum_oracle(monkeypatch, p, n):
             want = _purities_einsum_oracle(vecs, params)
             for block in (None, 16 * params.dim, 3 * 16 * params.dim):
                 if block is not None:
-                    monkeypatch.setattr(mubkit.hilbert, "_BLOCK_BYTES", block)
+                    monkeypatch.setattr(mubkit.errors, "BLOCK_BYTES", block)
                 assert np.abs(qupit_purities(vecs, params) - want).max() < 1e-12
 
 
