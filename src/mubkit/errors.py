@@ -56,8 +56,8 @@ MEMORY_GUARD = 1 << 30
 # the most nodes one spread or stoich search may visit, read when it starts.
 # The spread search visits about 100k nodes per second on a 2-vCPU box (a
 # first hit at (2,4) takes 332, the whole (2,3) sweep 6520), the stoich DFS
-# about 300k (listing or extremizing (5,4) takes 598,352, (3,4) 18,566;
-# counting them, stopped at the last free label, 3215 and 531)
+# about 700k (listing or extremizing (5,4) takes 598,352, in 1.0 and 0.75 s,
+# (3,4) 18,566; counting them, stopped at the last free label, 3215 and 531)
 NODE_GUARD = 10_000_000
 # the most bytes of scratch one batched step takes, read as its loop starts: a
 # block of Hilbert rows or columns, a class stack, a batch of masks or tuples

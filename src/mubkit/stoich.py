@@ -3,9 +3,9 @@
 Every full complement must distribute its p^n + 1 bases over the named types
 so that the per-column n-body totals come out right. That gives a small
 linear system over nonnegative integers; this module builds the profile
-tables, enumerates, counts and extremizes the solutions with one DFS, reduces
-the system to the quoted equation forms, and splits type counts into
-per-variant counts.
+tables, enumerates, counts and extremizes the solutions with one DFS, one
+loop over a stack of levels, reduces the system to the quoted equation forms,
+and splits type counts into per-variant counts.
 """
 
 from __future__ import annotations
@@ -54,12 +54,17 @@ def profile_table(params: SystemParams) -> ProfileTable:
 # solution enumeration
 
 
+def _labels(table: ProfileTable, forbid: tuple[str, ...]) -> list[str]:
+    """The labels left after forbid, in the table's order."""
+    return [l for l in table.labels if l not in forbid]
+
+
 def _system(table: ProfileTable, forbid: tuple[str, ...], fixes: dict[str, int]):
     """Equations over the labels left after forbid; each label's fixed count or None."""
     for lab in forbid:
         if lab not in table.labels:
             raise ValueError(f"cannot forbid unknown label {lab!r}")
-    labels = [l for l in table.labels if l not in forbid]
+    labels = _labels(table, forbid)
     for lab, v in fixes.items():
         if lab not in labels:
             raise ValueError(f"cannot fix label {lab!r}")
@@ -155,67 +160,86 @@ def _closed_form(coeffs: list[list[int]], fixed: list[int | None]):
 
 def _search(table: ProfileTable, forbid: tuple[str, ...] = (),
             fixes: dict[str, int] | None = None, count: bool = False):
-    """DFS in the canonical label order with budget pruning.
+    """DFS in the canonical label order with budget pruning, as one loop over
+    a stack of levels, one per free label of the prefix.
 
     Whenever no later label can still feed an equation, that equation pins the
     current label exactly, so trailing variables are determined, not searched.
     As entries are nonnegative and the total row is all ones, each label is
-    bounded by hi and no residual goes negative. It yields every solution, or
-    with count set stops at the last free label and yields, per prefix, how
-    many values of that label complete one (see _closed_form). Past
-    errors.NODE_GUARD nodes, GuardExceededError is raised.
+    bounded by hi and no residual goes negative. It yields every solution as a
+    tuple in the order of the labels left after forbid, or with count set
+    stops at the last free label and yields, per prefix, how many values of
+    that label complete one (see _closed_form). Past errors.NODE_GUARD nodes,
+    GuardExceededError is raised.
     """
     labels, coeffs, rhs, fixed = _system(table, tuple(forbid), fixes or {})
     m = len(labels)
-    neq = len(coeffs)
-    later_pos = [[any(coeffs[e][j] > 0 for j in range(i + 1, m))
-                  for i in range(m)] for e in range(neq)]
+    # per depth, computed once: the label's column, the equations no later
+    # label feeds, which close on it (with a zero coefficient their residual
+    # must be 0, else each pins the label), and the other equations that
+    # bound it
+    depths = []
+    for i, col in enumerate(zip(*coeffs)):
+        shut = [not any(row[i + 1:]) for row in coeffs]
+        depths.append((col, [e for e, c in enumerate(col) if shut[e] and not c],
+                       [(e, c) for e, c in enumerate(col) if shut[e] and c],
+                       [(e, c) for e, c in enumerate(col) if c and not shut[e]], fixed[i]))
     stop, tail = _closed_form(coeffs, fixed) if count else (None, None)
     acc = [0] * m
     nodes = 0
     guard = errors.NODE_GUARD
-
-    def rec(i: int, residuals: list[int]):
-        nonlocal nodes
+    # one level per free label of the prefix: its depth, the values on it
+    # left to try and the residuals it was entered with
+    stack = []
+    i, residuals = 0, rhs
+    while True:
         nodes += 1
         if nodes > guard:
             raise GuardExceededError(f"stoich search passed the node guard {guard}")
         if i == stop:
             yield tail(residuals)
+        elif i == m:
+            if not any(residuals):
+                yield tuple(acc)
+        elif not any([residuals[e] for e in depths[i][1]]):
+            col, _, close, bound, forced = depths[i]
+            if forced is None and not close:
+                # hi, the least bound; the all-ones total row is one of them
+                stack.append((i, iter(range(min([residuals[e] // c for e, c in bound]) + 1)),
+                              residuals))
+            else:
+                for e, c in close:
+                    v, r = divmod(residuals[e], c)
+                    if r or forced is not None and forced != v:
+                        break
+                    forced = v
+                else:
+                    # a closing equation holds its own bound; a pinned label
+                    # leaves no value to try, so the search descends at once
+                    for e, c in bound:
+                        if c * forced > residuals[e]:
+                            break
+                    else:
+                        acc[i] = forced
+                        residuals = [r - c * forced for r, c in zip(residuals, col)]
+                        i += 1
+                        continue
+        # the next value, from the deepest level that has one left
+        while stack and (v := next(stack[-1][1], None)) is None:
+            stack.pop()
+        if not stack:
             return
-        if i == m:
-            if all(v == 0 for v in residuals):
-                yield dict(zip(labels, acc))
-            return
-        hi = residuals[-1]  # the bound from the all-ones total row
-        forced = fixed[i]
-        for e in range(neq):
-            ce = coeffs[e][i]
-            if ce:
-                hi = min(hi, residuals[e] // ce)
-            if not later_pos[e][i]:
-                if ce == 0:
-                    if residuals[e]:
-                        return
-                elif residuals[e] % ce:
-                    return
-                elif forced is None:
-                    forced = residuals[e] // ce
-                elif forced != residuals[e] // ce:
-                    return
-        if forced is not None and forced > hi:
-            return
-        for v in range(hi + 1) if forced is None else (forced,):
-            acc[i] = v
-            yield from rec(i + 1, [residuals[e] - coeffs[e][i] * v for e in range(neq)])
-
-    yield from rec(0, rhs)
+        i, _, residuals = stack[-1]
+        acc[i] = v
+        residuals = [r - c * v for r, c in zip(residuals, depths[i][0])]
+        i += 1
 
 
 def enumerate_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
                         fixes: dict[str, int] | None = None) -> list[dict[str, int]]:
     """All nonnegative integer solutions, lexicographic in the label order."""
-    return list(_search(table, forbid, fixes))
+    labels = _labels(table, forbid)
+    return [dict(zip(labels, s)) for s in _search(table, forbid, fixes)]
 
 
 def count_solutions(table: ProfileTable, forbid: tuple[str, ...] = (),
@@ -235,13 +259,14 @@ def extremize(table: ProfileTable, label: str, direction: str = "min",
         raise ValueError(f"label {label!r} is forbidden")
     if label not in table.labels:
         raise ValueError(f"unknown label {label!r}, expected one of " + ", ".join(table.labels))
+    labels = _labels(table, forbid)
     pick = min if direction == "min" else max
     # min and max keep the first extreme they meet, the lex-first solution
-    best = pick(_search(table, forbid, fixes), key=itemgetter(label), default=None)
+    best = pick(_search(table, forbid, fixes), key=itemgetter(labels.index(label)), default=None)
     if best is None:
         raise InfeasibleError(
             f"no distribution satisfies the constraints (forbid={list(forbid)}, fixes={fixes})")
-    return best
+    return dict(zip(labels, best))
 
 
 # ---------------------------------------------------------------------------

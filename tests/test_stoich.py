@@ -3,16 +3,20 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import itemgetter
 
 import pytest
 
 import mubkit.errors
+import mubkit.stoich
 from mubkit.errors import NODE_GUARD, GuardExceededError, InfeasibleError
 from mubkit.stoich import (
     P3_N4_FULL_SOLUTION_COUNT,
     P5_N4_FULL_SOLUTION_COUNT,
     ProfileTable,
+    _closed_form,
     _search,
+    _system,
     count_solutions,
     derived_equations,
     enumerate_solutions,
@@ -214,6 +218,15 @@ def test_node_guard_counts_every_dfs_node(monkeypatch):
     for run in (enumerate_solutions, lambda t: extremize(t, "P4", "max")):
         with pytest.raises(GuardExceededError, match="stoich search passed the node guard 18565"):
             run(_table(3, 4))
+
+
+def test_node_guard_pins_the_5_4_extremize(monkeypatch):
+    # the node count that errors.NODE_GUARD and the README quote
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 598_352)
+    assert extremize(_table(5, 4), "P4")["P4"] == 206
+    monkeypatch.setattr(mubkit.errors, "NODE_GUARD", 598_351)
+    with pytest.raises(GuardExceededError, match="stoich search passed the node guard 598351$"):
+        extremize(_table(5, 4), "P4")
 
 
 def _count_suffixes(p, prefix_sum, two_body_rhs, bb_c, g4_c, c4_c, p4_c, total):
@@ -477,6 +490,118 @@ def test_count_matches_count_walk_oracle(p, n):
     for forbid, fixes in _constraint_sets(table):
         want = _count_walk_oracle(table, forbid, fixes)
         assert count_solutions(table, forbid, fixes) == want, (forbid, fixes)
+
+
+def _recursive_search_oracle(table, forbid=(), fixes=None, count=False):
+    """Oracle: the stoich DFS as it was first written, a recursive generator
+    that yields dicts (tails with count set), with the same pruning and node
+    guard as _search."""
+    labels, coeffs, rhs, fixed = _system(table, tuple(forbid), fixes or {})
+    m = len(labels)
+    neq = len(coeffs)
+    later_pos = [[any(coeffs[e][j] > 0 for j in range(i + 1, m))
+                  for i in range(m)] for e in range(neq)]
+    stop, tail = _closed_form(coeffs, fixed) if count else (None, None)
+    acc = [0] * m
+    nodes = 0
+    guard = mubkit.errors.NODE_GUARD
+
+    def rec(i, residuals):
+        nonlocal nodes
+        nodes += 1
+        if nodes > guard:
+            raise GuardExceededError(f"stoich search passed the node guard {guard}")
+        if i == stop:
+            yield tail(residuals)
+            return
+        if i == m:
+            if all(v == 0 for v in residuals):
+                yield dict(zip(labels, acc))
+            return
+        hi = residuals[-1]
+        forced = fixed[i]
+        for e in range(neq):
+            ce = coeffs[e][i]
+            if ce:
+                hi = min(hi, residuals[e] // ce)
+            if not later_pos[e][i]:
+                if ce == 0:
+                    if residuals[e]:
+                        return
+                elif residuals[e] % ce:
+                    return
+                elif forced is None:
+                    forced = residuals[e] // ce
+                elif forced != residuals[e] // ce:
+                    return
+        if forced is not None and forced > hi:
+            return
+        for v in range(hi + 1) if forced is None else (forced,):
+            acc[i] = v
+            yield from rec(i + 1, [residuals[e] - coeffs[e][i] * v for e in range(neq)])
+
+    yield from rec(0, rhs)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5) for n in (1, 2, 3, 4)] + [(7, 3)])
+def test_search_loop_matches_recursive_oracle(p, n, monkeypatch):
+    # the loop over a stack of levels against the recursive generator it
+    # replaced, infeasible sets included. Each set's tuples are listed once
+    # and replayed to enumerate_solutions and to extremize, which picks over
+    # them for every label
+    table = _table(p, n)
+    for forbid, fixes in _constraint_sets(table):
+        labels = [l for l in table.labels if l not in forbid]
+        want = list(_recursive_search_oracle(table, forbid, fixes))
+        got = list(_search(table, forbid, fixes))
+        assert got == [tuple(s.values()) for s in want], (forbid, fixes)
+        assert count_solutions(table, forbid, fixes) == len(want), (forbid, fixes)
+        tails = list(_recursive_search_oracle(table, forbid, fixes, count=True))
+        assert list(_search(table, forbid, fixes, count=True)) == tails, (forbid, fixes)
+        monkeypatch.setattr(mubkit.stoich, "_search", lambda *a: iter(got))
+        assert enumerate_solutions(table, forbid, fixes) == want, (forbid, fixes)
+        for label in labels:
+            for direction, pick in (("min", min), ("max", max)):
+                best = pick(want, key=itemgetter(label), default=None)
+                if best is None:
+                    with pytest.raises(InfeasibleError):
+                        extremize(table, label, direction, forbid, fixes)
+                else:
+                    assert extremize(table, label, direction, forbid, fixes) == best, \
+                        (forbid, fixes, label, direction)
+        monkeypatch.undo()
+
+
+def _guard_boundary(monkeypatch, run):
+    """The least NODE_GUARD under which run() raises no GuardExceededError."""
+    lo, hi = 1, 1 << 20
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(mubkit.errors, "NODE_GUARD", mid)
+        try:
+            run()
+            hi = mid
+        except GuardExceededError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("p,n,forbid,fixes", [
+    (2, 4, (), {}), (3, 4, (), {"PI": 1}), (3, 4, ("P4",), {}), (5, 3, ("G3",), {}),
+    (7, 3, (), {"SB": 8}), (3, 4, (), {"C4": 0})])
+def test_search_loop_meets_node_guard_with_oracle(p, n, forbid, fixes, monkeypatch):
+    # the loop visits the nodes the recursive generator did, so both raise
+    # from the same NODE_GUARD down, listing and counting
+    table = _table(p, n)
+    for count in (False, True):
+        guard = _guard_boundary(
+            monkeypatch, lambda: list(_recursive_search_oracle(table, forbid, fixes, count)))
+        monkeypatch.setattr(mubkit.errors, "NODE_GUARD", guard)
+        list(_search(table, forbid, fixes, count))
+        monkeypatch.setattr(mubkit.errors, "NODE_GUARD", guard - 1)
+        with pytest.raises(GuardExceededError,
+                           match=f"stoich search passed the node guard {guard - 1}$"):
+            list(_search(table, forbid, fixes, count))
 
 
 def test_negative_table_entries_rejected():
