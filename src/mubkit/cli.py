@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
 malformed input, 3 guard exceeded, 4 filter unsatisfied, 5 infeasible.
+When the reader closes stdout early (`| head`), the code is still the
+command's result, and nothing is printed about it.
 """
 
 from __future__ import annotations
@@ -10,9 +12,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict
 from itertools import islice
 from math import comb
@@ -47,14 +51,6 @@ def _err(msg) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-
-
 def _render_grid(header: list[str], rows: list[list]) -> str:
     cells = [header] + [[str(v) for v in row] for row in rows]
     widths = [max(len(row[c]) for row in cells) for c in range(len(header))]
@@ -64,17 +60,16 @@ def _render_grid(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(fmt: str, doc, rows, text) -> None:
-    """Print what --format asks for: the JSON document, the CSV rows or the
-    text. Each is a zero-argument callable, so only the printed form is built."""
+def _render(fmt: str, doc, rows, text) -> str:
+    """What --format asks for: the JSON document, the CSV rows or the text.
+    Each is a zero-argument callable, so only the chosen form is built."""
     if fmt == "json":
-        print(json.dumps(doc(), indent=2, sort_keys=True))
-    elif fmt == "csv":
+        return json.dumps(doc(), indent=2, sort_keys=True)
+    if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(rows())
-        print(buf.getvalue(), end="")
-    else:
-        _emit(text(), None)
+        return buf.getvalue()
+    return text()
 
 
 def _parse_counts(clauses, flag: str) -> dict[str, int]:
@@ -104,7 +99,7 @@ def _load(path: str) -> Complement:
 # complement
 
 
-def cmd_complement(args) -> int:
+def cmd_complement(args) -> tuple[int, str | None]:
     params = SystemParams(args.p, args.n)
     if args.method == "field":
         if args.filter is not None or args.limit is not None:
@@ -134,9 +129,8 @@ def cmd_complement(args) -> int:
             end = ("exhausted" if args.limit is None or seen < args.limit
                    else f"stopped at --limit {args.limit}")
             _err(f"search {end} ({seen} spreads examined) without matching {target}")
-            return 4
-    _emit(dumps(comp), args.out)
-    return 0
+            return 4, None
+    return 0, dumps(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,7 @@ def _hilbert_checks(comp: Complement, max_dim: int) -> list[CheckResult]:
     return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str | None]:
     if args.hilbert_max_dim < 1:
         raise ValueError(f"--hilbert-max-dim must be at least 1, got {args.hilbert_max_dim}")
     comp = _load(args.infile)
@@ -216,21 +210,21 @@ def cmd_verify(args) -> int:
     else:
         checks.append(CheckResult("hilbert", False, "skipped: structural checks failed"))
     ok = all(c.passed for c in checks)
-    _render(args.format,
-            lambda: {"ok": ok, "checks": [asdict(c) for c in checks]},
-            lambda: [["name", "passed", "detail"]] + [[c.name, c.passed, c.detail] for c in checks],
-            lambda: "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}\n"
-                            for c in checks)
-            + (f"OK  {len(checks)}/{len(checks)} checks" if ok else
-               f"FAILED  {sum(c.passed for c in checks)} of {len(checks)} checks passed"))
-    return 0 if ok else 1
+    return (0 if ok else 1), _render(
+        args.format,
+        lambda: {"ok": ok, "checks": [asdict(c) for c in checks]},
+        lambda: [["name", "passed", "detail"]] + [[c.name, c.passed, c.detail] for c in checks],
+        lambda: "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}\n"
+                        for c in checks)
+        + (f"OK  {len(checks)}/{len(checks)} checks" if ok else
+           f"FAILED  {sum(c.passed for c in checks)} of {len(checks)} checks passed"))
 
 
 # ---------------------------------------------------------------------------
 # classify
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[int, str | None]:
     if args.infile is not None and args.generators is not None:
         raise ValueError("classify takes --in or --generators, not both")
     if args.generators:
@@ -243,11 +237,11 @@ def cmd_classify(args) -> int:
         ops = [parse_pauli(t, params) for t in tokens]
         mt = classify_basis(group_from_generators(params, ops))
         variant = [[q + 1 for q in block] for block in mt.pattern]
-        _render(args.format,
-                lambda: {"label": mt.label, "variant": variant, "profile": list(mt.profile)},
-                lambda: [["label", "variant", "profile"], [mt.label, variant, list(mt.profile)]],
-                lambda: f"{mt.label}  variant={variant}  profile={tuple(mt.profile)}")
-        return 0
+        return 0, _render(
+            args.format,
+            lambda: {"label": mt.label, "variant": variant, "profile": list(mt.profile)},
+            lambda: [["label", "variant", "profile"], [mt.label, variant, list(mt.profile)]],
+            lambda: f"{mt.label}  variant={variant}  profile={tuple(mt.profile)}")
     if not args.infile:
         raise ValueError("classify needs --in FILE or --generators")
     comp = _load(args.infile)
@@ -256,19 +250,19 @@ def cmd_classify(args) -> int:
         raise MubkitError(f"not a compatibility group: {bad}")
     doc = distribution_json_dict(complement_distribution(comp))
     counts = doc["counts"].items()
-    _render(args.format, lambda: doc,
-            lambda: [["label", "count"]] + [[k, v] for k, v in counts],
-            lambda: "".join(f"basis {i}: {entry['label']}  blocks={entry['variant']}\n"
-                            for i, entry in enumerate(doc["per_basis"]))
-            + "counts: " + ", ".join(f"{k}={v}" for k, v in counts))
-    return 0
+    return 0, _render(
+        args.format, lambda: doc,
+        lambda: [["label", "count"]] + [[k, v] for k, v in counts],
+        lambda: "".join(f"basis {i}: {entry['label']}  blocks={entry['variant']}\n"
+                        for i, entry in enumerate(doc["per_basis"]))
+        + "counts: " + ", ".join(f"{k}={v}" for k, v in counts))
 
 
 # ---------------------------------------------------------------------------
 # stoich
 
 
-def cmd_stoich(args) -> int:
+def cmd_stoich(args) -> tuple[int, str | None]:
     params = SystemParams(args.p, args.n)
     table = profile_table(params)
     forbid = tuple(args.forbid or ())
@@ -279,16 +273,15 @@ def cmd_stoich(args) -> int:
     if label is not None:
         direction = "min" if args.minimize is not None else "max"
         sol = extremize(table, label, direction, forbid=forbid, fixes=fixes)
-        _render(args.format,
-                lambda: {"objective": {label: sol[label]}, "solution": sol},
-                lambda: [list(sol), list(sol.values())],
-                lambda: f"{direction} {label} = {sol[label]}\n  "
-                + ", ".join(f"{k}={v}" for k, v in sol.items()))
-        return 0
+        return 0, _render(
+            args.format,
+            lambda: {"objective": {label: sol[label]}, "solution": sol},
+            lambda: [list(sol), list(sol.values())],
+            lambda: f"{direction} {label} = {sol[label]}\n  "
+            + ", ".join(f"{k}={v}" for k, v in sol.items()))
     if args.count_only:
         total = count_solutions(table, forbid=forbid, fixes=fixes)
-        print(json.dumps({"count": total}) if args.format == "json" else total)
-        return 0
+        return 0, json.dumps({"count": total}) if args.format == "json" else str(total)
     labels = [l for l in table.labels if l not in forbid]
     # the list and its rendering, per value: at (5,4), 198,379 solutions of
     # 7 values grew VmHWM by 227 MB as text, 339 MB as json and 96 MB as csv.
@@ -300,13 +293,13 @@ def cmd_stoich(args) -> int:
                  f"a {args.format} listing of {total} solutions",
                  "; count them with --count-only or narrow them with --fix")
     sols = enumerate_solutions(table, forbid=forbid, fixes=fixes)
-    _render(args.format,
-            lambda: {"count": len(sols), "solutions": sols},
-            lambda: [labels] + [[s[l] for l in labels] for s in sols],
-            lambda: _render_grid(["label"] + [f"#{i}" for i in range(len(sols))],
-                                 [[l] + [s[l] for s in sols] for l in labels])
-            + f"{len(sols)} solutions")
-    return 0
+    return 0, _render(
+        args.format,
+        lambda: {"count": len(sols), "solutions": sols},
+        lambda: [labels] + [[s[l] for l in labels] for s in sols],
+        lambda: _render_grid(["label"] + [f"#{i}" for i in range(len(sols))],
+                             [[l] + [s[l] for s in sols] for l in labels])
+        + f"{len(sols)} solutions")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +335,7 @@ def _table_iv_column(p: int, standard: bool) -> dict[str, int]:
     return min(sols, key=lambda s: (s.get("P4", 0), s.get("G4", 0), -s.get("BB", 0)))
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> tuple[int, str | None]:
     which = args.which.upper()
     payload: dict = {"table": which}
     blocks: list[tuple[str, list[str], list[list]]] = []
@@ -393,11 +386,11 @@ def cmd_tables(args) -> int:
         payload.update(p=p, rows={r[0]: r[1:] for r in rows})
     else:
         raise ValueError(f"unknown table {args.which!r}")
-    _render(args.format, lambda: payload,
-            lambda: [row for _, header, grid in blocks for row in [header] + grid],
-            lambda: "\n".join(f"{title}\n{_render_grid(h, r)}" for title, h, r in blocks)
-            + (note + "\n" if note else ""))
-    return 0
+    return 0, _render(
+        args.format, lambda: payload,
+        lambda: [row for _, header, grid in blocks for row in [header] + grid],
+        lambda: "\n".join(f"{title}\n{_render_grid(h, r)}" for title, h, r in blocks)
+        + (note + "\n" if note else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, then write its output once: to --out or stdout."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        path = getattr(args, "out", None)
+        if text is not None and (path or sys.stdout is not None):
+            with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+                try:
+                    fh.write(text if text.endswith("\n") else text + "\n")
+                    fh.flush()
+                except BrokenPipeError:
+                    # the reader stopped early; the rest goes to devnull, unreported
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+        return code
     except GuardExceededError as exc:
         _err(exc)
         return 3

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -783,6 +787,22 @@ _GOLDENS = {
                       "PI,3,0,4,0,6,0\r\nSG3,0,12,0,16,0,24\r\nBB,2,2,0,2,0,0\r\n"
                       "C4,12,3,72,64,360,396\r\nP4,--,--,6,0,260,206\r\n"
                       "all,17,17,82,82,626,626\r\n"),
+    # a count is one number, csv included, and a json object for json
+    "stoich-count-text": (["stoich", "--p", "2", "--n", "4", "--count-only"], "48\n"),
+    "stoich-count-json": (["stoich", "--p", "2", "--n", "4", "--count-only", "--format", "json"],
+                          '{"count": 48}\n'),
+    "stoich-count-csv": (["stoich", "--p", "2", "--n", "4", "--count-only", "--format", "csv"],
+                         "48\n"),
+    "stoich-list-text": (["stoich", "--p", "2", "--n", "3"],
+                         "label  #0  #1  #2  #3\n---------------------\nPI      0   1   2   3\n"
+                         "SB      9   6   3   0\nG3      0   2   4   6\n4 solutions\n"),
+    "tables-III-text": (["tables", "--which", "III", "--format", "text"],
+                        "III p=2, 4 qubits\ntype  1-body  2-body  3-body  4-body\n"
+                        "------------------------------------\n"
+                        "PI         4       6       4       1\nS2B        2       4       6       3\n"
+                        "SG3        1       3       7       4\nBB         0       6       0       9\n"
+                        "G4         0       6       0       9\nC4         0       2       8       5\n"
+                        "all       12      54     108      81\n"),
 }
 
 
@@ -804,3 +824,53 @@ def test_emit_to_unwritable_path(capsys, tmp_path):
     code, _, err = run(capsys, "complement", "--p", "2", "--n", "2",
                        "--out", str(tmp_path / "no" / "dir" / "x.json"))
     assert code == 2 and "error:" in err
+
+
+def _child(argv, unbuffered=False, **kw):
+    """Exit code and stderr of `python -m mubkit.cli argv` on this tree's mubkit,
+    its stdout block-buffered unless `unbuffered`."""
+    src = str(Path(mubkit.cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "mubkit.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kw)
+    return proc.returncode, proc.stderr
+
+
+def _zero32(tmp_path) -> str:
+    """The (3,2) field spread with class 2's qupit-0 columns zeroed: verify fails it."""
+    doc = json.loads(dumps(field_spread(SystemParams(3, 2))))
+    for gen in doc["classes"][2]["gens"]:
+        gen["x"][0] = gen["z"][0] = 0
+    path = tmp_path / "zero32.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,want,err", [
+    (["stoich", "--p", "3", "--n", "4", "--maximize", "P4"], 0, ""),
+    (["verify", "--in", "{zero32}"], 1, ""),
+    (["complement", "--p", "2", "--n", "8"], 0, ""),  # 663,102 bytes of JSON
+    (["complement", "--p", "2", "--n", "2", "--method", "search", "--filter", "PI=9"], 4,
+     "error: search exhausted (6 spreads examined) without matching filter PI=9\n"),
+], ids=["stoich", "verify-fails", "complement", "search-exhausted"])
+def test_closed_reader_keeps_exit_code(tmp_path, argv, want, err, unbuffered):
+    # the read end is closed before the child starts, so its write meets EPIPE;
+    # buffered, a short text meets it at the flush
+    rd, wr = os.pipe()
+    os.close(rd)
+    try:
+        got = _child([_zero32(tmp_path) if a == "{zero32}" else a for a in argv],
+                     unbuffered, stdout=wr)
+    finally:
+        os.close(wr)
+    assert got == (want, err)
+
+
+def test_closed_stdout_writes_nothing():
+    # fd 1 closed at start: sys.stdout is None, and the count still exits 0
+    assert _child(["stoich", "--p", "3", "--n", "4", "--count-only"],
+                  preexec_fn=lambda: os.close(1)) == (0, "")
